@@ -4,7 +4,7 @@
 //! Fig 4 characterization, or connected through the interaction graph's
 //! enabling edges — synthesize a bounded set of witness tuples from the
 //! pair's constant pools and run each through the **actual compiled chase
-//! engine** ([`fixrules::repair::crepair_compiled_tuple`]) under the two
+//! engine** ([`fixrules::repair::run_engine`]) under the two
 //! pair orders `(φᵢ, φⱼ, rest…)` and `(φⱼ, φᵢ, rest…)`. Divergent end
 //! states are confluence violations: the diagnostic carries the concrete
 //! tuple, both end states, and the two causal chains (which rule wrote
@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 
 use fixrules::consistency::enumerate::{candidate_values, enumeration_size, WILDCARD};
 use fixrules::consistency::{conflict_witness, is_consistent_characterize};
-use fixrules::repair::{crepair_compiled_tuple, CellUpdate, CompiledScratch, RuleProgram};
+use fixrules::repair::{run_engine, CellUpdate, CompiledEngine, CompiledScratch, RuleProgram};
 use fixrules::RuleSet;
 use obs::RepairObserver;
 use relation::{Symbol, SymbolTable};
@@ -210,7 +210,14 @@ fn chase_order(rules: &RuleSet, perm: &[usize], tuple: &[Symbol]) -> OrderRun {
     let program = RuleProgram::compile(&permuted);
     let mut scratch = CompiledScratch::new(permuted.len());
     let mut row = tuple.to_vec();
-    let chain = crepair_compiled_tuple(&permuted, &program, &mut scratch, &mut row);
+    let (chain, _) = run_engine(
+        &permuted,
+        &program,
+        CompiledEngine::Chase,
+        &mut scratch,
+        &mut row,
+        &obs::NoopObserver,
+    );
     OrderRun {
         end: row,
         chain,

@@ -2,7 +2,7 @@
 //! set the certifier passes really is order-independent in practice.
 //!
 //! For every randomly generated rule set that certifies green, every
-//! engine (chase, linear, compiled chase/linear, parallel compiled) under
+//! engine (chase, linear, columnar chase/linear, parallel columnar) under
 //! every tested rule-order permutation must produce the *same* repaired
 //! table and the same normalized provenance ledger. A single divergence
 //! here means the certificate lied — the critical-pair analysis missed an
@@ -22,11 +22,11 @@ use fixlint::{certify, CertOptions};
 use fixrules::io::Span;
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
 use fixrules::repair::{
-    compiled_table_observed, crepair_table_observed, lrepair_table_observed,
-    par_compiled_table_observed, CompiledEngine, LRepairIndex, PlanCache, RuleProgram,
+    columnar_table_observed, crepair_table_observed, lrepair_table_observed,
+    par_columnar_table_observed, CompiledEngine, LRepairIndex, PlanCache, RuleProgram,
 };
 use fixrules::{FixingRule, RuleSet};
-use relation::{AttrId, Schema, Symbol, SymbolTable, Table};
+use relation::{AttrId, ColumnTable, Schema, Symbol, SymbolTable, Table};
 
 const ARITY: usize = 5;
 const VOCAB: u32 = 6;
@@ -171,21 +171,21 @@ proptest! {
             }
             for engine in [CompiledEngine::Chase, CompiledEngine::Linear] {
                 let cache = PlanCache::unbounded();
-                let mut t = table0.clone();
+                let mut cols = ColumnTable::from(&table0);
                 let ledger = ProvenanceLedger::new();
-                compiled_table_observed(
-                    &prs, &program, engine, Some(&cache), &mut t,
+                columnar_table_observed(
+                    &prs, &program, engine, Some(&cache), &mut cols,
                     &ProvenanceObserver::new(&prs, &ledger));
-                runs.push(("compiled", t, ledger.records()));
+                runs.push(("columnar", cols.to_table(), ledger.records()));
             }
             {
                 let cache = PlanCache::sharded(4);
-                let mut t = table0.clone();
+                let mut cols = ColumnTable::from(&table0);
                 let ledger = ProvenanceLedger::new();
-                par_compiled_table_observed(
-                    &prs, &program, CompiledEngine::Chase, Some(&cache), &mut t, 4,
+                par_columnar_table_observed(
+                    &prs, &program, CompiledEngine::Chase, Some(&cache), &mut cols, 4,
                     &ProvenanceObserver::new(&prs, &ledger));
-                runs.push(("parallel", t, ledger.records()));
+                runs.push(("parallel", cols.to_table(), ledger.records()));
             }
 
             for (name, t, records) in &runs {

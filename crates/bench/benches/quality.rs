@@ -1,12 +1,13 @@
 //! `bench quality` — sketch + window overhead of the repair-quality
 //! observatory on the 20k duplicated-tuple stream workload.
 //!
-//! Configurations, all one-pass `stream_repair_csv_observed` over the
-//! same in-memory CSV:
+//! Configurations, all one-pass `stream_repair_csv` over the same
+//! in-memory CSV, with `fixctl`'s stream defaults (1024-record batches,
+//! a fresh 4096-plan LRU per iteration):
 //!
 //! * `unmonitored` — [`obs::NoopObserver`]: the `wants_rows` gate keeps
-//!   the driver from even copying the pre-repair row, so this is the
-//!   true zero-cost baseline;
+//!   the grouped core from even copying the pre-repair row, so this is
+//!   the true zero-cost baseline;
 //! * `monitored/256` / `monitored/1024` — a fresh [`QualityMonitor`]
 //!   per iteration feeding per-attribute count–min, distinct, and
 //!   reservoir sketches in tumbling windows of 256 / 1024 rows.
@@ -19,7 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use fixrules::repair::{stream_repair_csv_observed, LRepairIndex};
+use fixrules::repair::{stream_repair_csv, CompiledEngine, PlanCache, RuleProgram};
 use obs::{NoopObserver, QualityConfig, QualityMonitor};
 use relation::{csv_io, Table};
 
@@ -27,6 +28,10 @@ use relation::{csv_io, Table};
 const DISTINCT_ROWS: usize = 400;
 /// Total rows streamed per iteration (each distinct row appears ~50×).
 const TOTAL_ROWS: usize = 20_000;
+/// Records per stream batch and plans in the stream's LRU, as in
+/// `fixctl repair --engine stream`.
+const BATCH_ROWS: usize = 1024;
+const CACHE_PLANS: usize = 4096;
 /// Consecutive repetitions per distinct row. The real hosp file clusters
 /// ~20 rows per provider (one per measure), so duplicates arrive in
 /// runs; short runs of 8 keep the stream realistic without being the
@@ -51,7 +56,7 @@ fn stream_csv(workload: &bench::Workload) -> Vec<u8> {
 fn bench_quality(c: &mut Criterion) {
     let workload = bench::hosp_workload(DISTINCT_ROWS, 200);
     let rules = &workload.rules;
-    let index = LRepairIndex::build(rules);
+    let program = RuleProgram::compile(rules);
     let csv = stream_csv(&workload);
     let attr_names: Vec<String> = workload
         .dirty
@@ -65,14 +70,20 @@ fn bench_quality(c: &mut Criterion) {
 
     group.bench_with_input(BenchmarkId::new("unmonitored", "stream"), &(), |b, _| {
         b.iter_batched(
-            || workload.dataset.symbols.clone(),
-            |mut symbols| {
-                stream_repair_csv_observed(
+            || {
+                let cache = PlanCache::bounded_lru(CACHE_PLANS);
+                (workload.dataset.symbols.clone(), cache)
+            },
+            |(mut symbols, cache)| {
+                stream_repair_csv(
                     rules,
-                    &index,
+                    &program,
+                    CompiledEngine::Linear,
+                    Some(&cache),
                     &mut symbols,
                     &csv[..],
                     std::io::sink(),
+                    BATCH_ROWS,
                     &NoopObserver,
                 )
                 .unwrap()
@@ -95,15 +106,19 @@ fn bench_quality(c: &mut Criterion) {
                         };
                         let monitor =
                             QualityMonitor::new(cfg, attr_names.clone()).with_registry(&registry);
-                        (workload.dataset.symbols.clone(), monitor)
+                        let cache = PlanCache::bounded_lru(CACHE_PLANS);
+                        (workload.dataset.symbols.clone(), cache, monitor)
                     },
-                    |(mut symbols, monitor)| {
-                        let stats = stream_repair_csv_observed(
+                    |(mut symbols, cache, monitor)| {
+                        let stats = stream_repair_csv(
                             rules,
-                            &index,
+                            &program,
+                            CompiledEngine::Linear,
+                            Some(&cache),
                             &mut symbols,
                             &csv[..],
                             std::io::sink(),
+                            BATCH_ROWS,
                             &monitor,
                         )
                         .unwrap();

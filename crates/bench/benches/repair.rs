@@ -1,9 +1,14 @@
-//! Fig 13 bench: `cRepair` vs `lRepair` (and the parallel extension) as
-//! |Σ| grows, on a fixed dirty table.
+//! Fig 13 bench: `cRepair` vs `lRepair` (and the parallel grouped columnar
+//! path, compile and transposes included) as |Σ| grows, on a fixed dirty
+//! table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use fixrules::repair::{crepair_table, lrepair_table, par_lrepair_table, LRepairIndex};
+use fixrules::repair::{
+    crepair_table, lrepair_table, par_columnar_table_observed, CompiledEngine, LRepairIndex,
+    PlanCache, RuleProgram,
+};
+use relation::ColumnTable;
 
 fn bench_repair(c: &mut Criterion) {
     let workload = bench::hosp_workload(10_000, 400);
@@ -29,13 +34,24 @@ fn bench_repair(c: &mut Criterion) {
                 criterion::BatchSize::LargeInput,
             )
         });
-        group.bench_with_input(BenchmarkId::new("lRepair_par", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("columnar_par", n), &n, |b, _| {
             let threads = std::thread::available_parallelism().map_or(4, |t| t.get());
             b.iter_batched(
                 || workload.dirty.clone(),
-                |mut table| {
-                    let index = LRepairIndex::build(&subset);
-                    par_lrepair_table(&subset, &index, &mut table, threads)
+                |table| {
+                    let program = RuleProgram::compile(&subset);
+                    let cache = PlanCache::sharded(threads * 4);
+                    let mut columns = ColumnTable::from(&table);
+                    par_columnar_table_observed(
+                        &subset,
+                        &program,
+                        CompiledEngine::Linear,
+                        Some(&cache),
+                        &mut columns,
+                        threads,
+                        &obs::NoopObserver,
+                    );
+                    columns.to_table()
                 },
                 criterion::BatchSize::LargeInput,
             )

@@ -7,14 +7,15 @@
 //! fixctl resolve --rules rules.frl --data data.csv --out fixed_rules.frl
 //!                [--strategy shrink|drop]                 # §5.3 workflow
 //! fixctl repair  --rules rules.frl --data dirty.csv --out repaired.csv
-//!                [--engine lrepair|chase|compiled|compiled-chase|columnar|columnar-chase|stream]
+//!                [--engine linear|chase|stream]          # aliases: lrepair|compiled|columnar,
+//!                                                         #   crepair|compiled-chase|columnar-chase
 //!                [--plan-cache on|off|CAPACITY] [--threads N]
 //!                [--updates-log updates.csv]
 //!                [--trace trace.jsonl]                    # provenance journal
 //! fixctl stats   --rules rules.frl --data data.csv        # rule-set statistics
 //! fixctl explain trace.jsonl --row R --attr A             # why did this cell change?
 //! fixctl trace export trace.jsonl --chrome out.json       # Perfetto-viewable timeline
-//! fixctl coverage --rules rules.frl --data data.csv [--lint]
+//! fixctl coverage --rules rules.frl --data data.csv [--lint] [--engine linear|chase]
 //!                                                         # per-rule attribution profile,
 //!                                                         # joined against the linter
 //! fixctl serve-metrics [--addr 127.0.0.1:0] [--scrapes N] # standalone scrape endpoint
@@ -80,10 +81,8 @@ use fixrules::consistency::{
 use fixrules::io::{format_rule, format_rules, parse_rules, parse_rules_spanned, Span};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
 use fixrules::repair::{
-    columnar_table_observed, compiled_table_observed, crepair_table_observed,
-    lrepair_table_observed, par_columnar_table_observed, par_compiled_table_observed,
-    par_lrepair_table_observed, stream_repair_csv_compiled_observed, CompiledEngine, LRepairIndex,
-    PlanCache, RepairOutcome, RuleProgram,
+    columnar_table_observed, par_columnar_table_observed, stream_repair_csv, BatchStats,
+    CompiledEngine, LRepairIndex, PlanCache, RuleProgram,
 };
 use fixrules::RuleSet;
 use obs::trace::{chrome_trace, parse_jsonl, TracePhase, TraceSpan};
@@ -296,7 +295,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 fn usage() -> String {
     "usage: fixctl <check|detect|discover|resolve|repair|stats|convert> --rules FILE --data FILE.csv \
-     [--out FILE] [--engine lrepair|chase|compiled|compiled-chase|columnar|columnar-chase|stream] \
+     [--out FILE] [--engine linear|chase|stream] \
      [--plan-cache on|off|CAPACITY] [--threads N] [--strategy shrink|drop] [--updates-log FILE] \
      [--metrics FILE.json] [--log off|info|debug] [--trace FILE.jsonl] [--trace-clock logical|wall] \
      [--profile] [--profile-json FILE] [--expose ADDR] [--expose-hold N] \
@@ -305,7 +304,7 @@ fn usage() -> String {
      [--deny warnings|FR001,...] \
      | certify RULES.frl [--schema a,b,c | --data FILE.csv] [--format human|json|sarif] \
      [--deny warnings|FR001,...] \
-     | coverage --rules FILE --data FILE.csv [--engine lrepair|chase|compiled] [--lint] \
+     | coverage --rules FILE --data FILE.csv [--engine linear|chase] [--lint] \
      | serve-metrics [--addr HOST:PORT] [--scrapes N] \
      | serve --rules FILE [--addr HOST:PORT] [--threads N] [--engine chase|linear] \
      [--schema a,b,c] [--warm FILE.csv] [--journal FILE.jsonl] [--cache-shards N] \
@@ -574,10 +573,7 @@ fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, RuleSet, SymbolTable)
     let mut symbols = SymbolTable::new();
     let table = relation::csv_io::read_csv_file(data_path, "data", &mut symbols)
         .map_err(|e| format!("reading {data_path}: {e}"))?;
-    let text =
-        std::fs::read_to_string(rules_path).map_err(|e| format!("reading {rules_path}: {e}"))?;
-    let rules = parse_rules(&text, table.schema(), &mut symbols)
-        .map_err(|e| format!("parsing {rules_path}: {e}"))?;
+    let rules = parse_rules_file(rules_path, table.schema(), &mut symbols)?;
     obs::info!(
         "load.done",
         rows = table.len(),
@@ -585,6 +581,32 @@ fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, RuleSet, SymbolTable)
         vocab = symbols.len()
     );
     Ok((table, rules, symbols))
+}
+
+/// Read and parse a rule file against `schema`.
+fn parse_rules_file(
+    rules_path: &str,
+    schema: &Schema,
+    symbols: &mut SymbolTable,
+) -> Result<RuleSet, String> {
+    let text =
+        std::fs::read_to_string(rules_path).map_err(|e| format!("reading {rules_path}: {e}"))?;
+    parse_rules(&text, schema, symbols).map_err(|e| format!("parsing {rules_path}: {e}"))
+}
+
+/// The engine flavor an `--engine` spelling names. There is one repair
+/// path; the flavor only picks whose output (and `round` stamps) it
+/// reproduces: `linear` → `lRepair`, `chase` → `cRepair`. The spellings
+/// of the retired drivers stay accepted as aliases.
+fn engine_flavor(spelling: &str) -> Result<CompiledEngine, String> {
+    match spelling {
+        "linear" | "lrepair" | "compiled" | "columnar" => Ok(CompiledEngine::Linear),
+        "chase" | "crepair" | "compiled-chase" | "columnar-chase" => Ok(CompiledEngine::Chase),
+        other => Err(format!(
+            "unknown engine `{other}` (linear|chase|stream; aliases lrepair|compiled|columnar \
+             and crepair|compiled-chase|columnar-chase)"
+        )),
+    }
 }
 
 /// `--threads N` (default 1 = sequential).
@@ -600,7 +622,7 @@ fn threads_flag(flags: &Flags) -> Result<usize, String> {
 }
 
 /// `--plan-cache on|off|CAPACITY`; `None` means the flag was absent and the
-/// engine's default applies.
+/// default (`on`) applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CacheSpec {
     Off,
@@ -830,7 +852,7 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let data_path = flags.required("data")?;
     let rules_path = flags.required("rules")?;
     let mut symbols = SymbolTable::new();
-    let mut table = {
+    let table = {
         let _span = obs_ctx.span("load");
         relation::csv_io::read_csv_file(data_path, "data", &mut symbols)
             .map_err(|e| format!("reading {data_path}: {e}"))?
@@ -850,32 +872,20 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let attribution =
         AttributionObserver::new(&obs_ctx.registry, rule_labels(&rules)).with_timing(true);
     let observer = Tee(&obs_ctx.observer, &attribution);
-    let engine = flags.optional("engine").unwrap_or("lrepair");
+    let engine = engine_flavor(flags.optional("engine").unwrap_or("lrepair"))?;
+    let program = RuleProgram::compile(&rules);
+    let cache = PlanCache::unbounded();
+    let mut columns = ColumnTable::from(&table);
     {
         let _span = obs_ctx.span("repair");
-        match engine {
-            "lrepair" => {
-                let index = LRepairIndex::build(&rules);
-                lrepair_table_observed(&rules, &index, &mut table, &observer);
-            }
-            "crepair" | "chase" => {
-                crepair_table_observed(&rules, &mut table, &observer);
-            }
-            "compiled" | "compiled-chase" => {
-                let kind = if engine == "compiled" {
-                    CompiledEngine::Linear
-                } else {
-                    CompiledEngine::Chase
-                };
-                let program = RuleProgram::compile(&rules);
-                compiled_table_observed(&rules, &program, kind, None, &mut table, &observer);
-            }
-            other => {
-                return Err(format!(
-                    "unknown engine `{other}` (lrepair|chase|crepair|compiled|compiled-chase)"
-                ))
-            }
-        }
+        columnar_table_observed(
+            &rules,
+            &program,
+            engine,
+            Some(&cache),
+            &mut columns,
+            &observer,
+        );
     }
     let profile = attribution.profile();
     print!("{}", profile.render_table());
@@ -1082,11 +1092,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             fixd::SchemaSource::Names(names.split(',').map(|s| s.trim().to_string()).collect());
     }
     if let Some(engine) = flags.optional("engine") {
-        config.engine = match engine {
-            "chase" => CompiledEngine::Chase,
-            "linear" | "lrepair" => CompiledEngine::Linear,
-            other => return Err(format!("unknown serve engine `{other}` (chase|linear)")),
-        };
+        config.engine = engine_flavor(engine)?;
     }
     if let Some(cache) = flags.optional("plan-cache") {
         config.plan_cache = match cache {
@@ -1249,11 +1255,53 @@ fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     Ok(())
 }
 
+/// Records per batch on the streaming path: bounds the stream's working
+/// set to `STREAM_BATCH_ROWS × arity` cells while letting duplicate
+/// signatures within a batch share one engine run.
+const STREAM_BATCH_ROWS: usize = 1024;
+
 fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (mut table, rules, symbols) = load(flags, obs_ctx)?;
+    // `--engine` is the current spelling; `--algo` stays as an alias.
+    let algo = flags
+        .optional("engine")
+        .or_else(|| flags.optional("algo"))
+        .unwrap_or("lrepair");
+    let streaming = algo == "stream";
+    // The stream repairs with the linear flavor, as `lRepair` always did.
+    let engine = if streaming {
+        CompiledEngine::Linear
+    } else {
+        engine_flavor(algo)?
+    };
     let threads = threads_flag(flags)?;
-    let cache_spec = plan_cache_flag(flags)?;
+    let cache_spec = plan_cache_flag(flags)?.unwrap_or(CacheSpec::On);
     let hold = expose_hold_flag(flags)?;
+    if !streaming && flags.optional("quality-window").is_some() {
+        return Err(format!(
+            "--quality-window only applies to the stream engine (got `{algo}`)"
+        ));
+    }
+    if streaming && threads > 1 {
+        return Err(
+            "--threads does not apply to the stream engine (one pass, one reader)".to_string(),
+        );
+    }
+    // A stream reads only the CSV header up front (no table), so memory
+    // stays bounded by the batch and the vocabulary, not by the file.
+    let (input, rules, mut symbols) = if streaming {
+        let _span = obs_ctx.span("load");
+        let data_path = flags.required("data")?;
+        let rules_path = flags.required("rules")?;
+        let schema = relation::csv_io::read_csv_schema(data_path, "data")
+            .map_err(|e| format!("reading {data_path}: {e}"))?;
+        let mut symbols = SymbolTable::new();
+        let rules = parse_rules_file(rules_path, &schema, &mut symbols)?;
+        obs::info!("load.done", rules = rules.len(), vocab = symbols.len());
+        (None, rules, symbols)
+    } else {
+        let (table, rules, symbols) = load(flags, obs_ctx)?;
+        (Some(table), rules, symbols)
+    };
     // The endpoint goes up before any repair work so a scraper can watch
     // the counters move while the run is in flight.
     let server = start_expose(flags, obs_ctx)?;
@@ -1264,181 +1312,45 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             report.conflicts.len()
         ));
     }
-    // `--engine` is the current spelling; `--algo` stays as an alias, and
-    // `chase` names the same engine `crepair` always did.
-    let algo = flags
-        .optional("engine")
-        .or_else(|| flags.optional("algo"))
-        .unwrap_or("lrepair");
-    if !matches!(
-        algo,
-        "compiled" | "compiled-chase" | "columnar" | "columnar-chase" | "stream"
-    ) && cache_spec.is_some()
-        && cache_spec != Some(CacheSpec::Off)
-    {
-        return Err(format!(
-            "--plan-cache only applies to the compiled, columnar, and stream engines (got `{algo}`)"
-        ));
-    }
-    if algo != "stream" && flags.optional("quality-window").is_some() {
-        return Err(format!(
-            "--quality-window only applies to the stream engine (got `{algo}`)"
-        ));
-    }
-    if algo == "stream" {
-        // One-pass constant-memory repair: re-read the data file and write
-        // records as they are repaired.
-        let data_path = flags.required("data")?;
-        let out = flags.required("out")?;
-        let mut symbols2 = SymbolTable::new();
-        // Rebuild the rules against a schema taken from the header so the
-        // attribute ids align with the stream (load() used its own table).
-        let header_table = relation::csv_io::read_csv_file(data_path, "data", &mut symbols2)
-            .map_err(|e| format!("reading {data_path}: {e}"))?;
-        let text = std::fs::read_to_string(flags.required("rules")?)
-            .map_err(|e| format!("re-reading rules: {e}"))?;
-        let rules2 = parse_rules(&text, header_table.schema(), &mut symbols2)
-            .map_err(|e| format!("parsing rules: {e}"))?;
-        if threads > 1 {
-            return Err(
-                "--threads does not apply to the stream engine (one pass, one reader)".to_string(),
-            );
+    let program = {
+        let _span = obs_ctx.span("compile");
+        RuleProgram::compile(&rules)
+    };
+    let cache = {
+        let _span = obs_ctx.span("plan_cache");
+        // A stream has no end, so its cache must not grow without bound:
+        // `on` means an LRU holding 4096 plans.
+        match (streaming, cache_spec) {
+            (true, CacheSpec::On) => Some(PlanCache::bounded_lru(4096)),
+            _ => build_plan_cache(cache_spec, threads),
         }
-        let reader =
-            std::fs::File::open(data_path).map_err(|e| format!("opening {data_path}: {e}"))?;
-        let writer = std::io::BufWriter::new(
-            std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?,
-        );
-        let started = std::time::Instant::now();
-        let ledger = ProvenanceLedger::new();
-        // `--plan-cache` switches the stream onto the compiled engine with
-        // a bounded LRU memo (a stream has no end, so the cache must not
-        // grow without bound); default capacity holds 4096 plans.
-        let stream_cache = match cache_spec.unwrap_or(CacheSpec::Off) {
-            CacheSpec::Off => None,
-            CacheSpec::On => Some(PlanCache::bounded_lru(4096)),
-            CacheSpec::Bounded(c) => Some(PlanCache::bounded_lru(c)),
-        };
-        // `--quality-window` hangs a QualityMonitor off the same observer
-        // chain: tumbling windows of pre/post sketches over the stream,
-        // summarized as a per-window table after the run.
-        let quality = match flags.optional("quality-window") {
-            Some(n) => {
-                let window: usize = n
-                    .parse()
-                    .ok()
-                    .filter(|&w| w >= 1)
-                    .ok_or_else(|| format!("--quality-window: bad value `{n}` (rows >= 1)"))?;
-                let cfg = QualityConfig {
-                    window_rows: window,
-                    alerts: quality_alerts_flag(flags)?,
-                    ..QualityConfig::default()
-                };
-                let names = header_table
-                    .schema()
-                    .attr_names()
-                    .map(str::to_string)
-                    .collect();
-                Some(QualityMonitor::new(cfg, names).with_registry(&obs_ctx.registry))
-            }
-            None => None,
-        };
-        // Optional observers tee onto the metrics observer as trait
-        // objects; the blanket `&T` impl lets the generic drivers take the
-        // assembled `&dyn` chain without monomorphizing every combination.
-        let attribution = attribution_for(flags, obs_ctx, &rules2);
-        let prov = obs_ctx
-            .journal
-            .is_some()
-            .then(|| ProvenanceObserver::new(&rules2, &ledger));
-        let tee_prov;
-        let tee_attr;
-        let tee_quality;
-        let mut observer: &dyn RepairObserver = &obs_ctx.observer;
-        if let Some(p) = &prov {
-            tee_prov = Tee(observer, p as &dyn RepairObserver);
-            observer = &tee_prov;
-        }
-        if let Some(a) = &attribution {
-            tee_attr = Tee(observer, a as &dyn RepairObserver);
-            observer = &tee_attr;
-        }
-        if let Some(q) = &quality {
-            tee_quality = Tee(observer, q as &dyn RepairObserver);
-            observer = &tee_quality;
-        }
-        let stats = {
-            let _span = obs_ctx.span("repair");
-            let result = if let Some(cache) = &stream_cache {
-                let program = {
-                    let _span = obs_ctx.span("compile");
-                    RuleProgram::compile(&rules2)
-                };
-                stream_repair_csv_compiled_observed(
-                    &rules2,
-                    &program,
-                    CompiledEngine::Linear,
-                    Some(cache),
-                    &mut symbols2,
-                    reader,
-                    writer,
-                    &observer,
-                )
-            } else {
-                let index = {
-                    let _span = obs_ctx.span("index_build");
-                    LRepairIndex::build(&rules2)
-                };
-                fixrules::repair::stream_repair_csv_observed(
-                    &rules2,
-                    &index,
-                    &mut symbols2,
-                    reader,
-                    writer,
-                    &observer,
-                )
+    };
+    // `--quality-window` hangs a QualityMonitor off the same observer
+    // chain: tumbling windows of pre/post sketches over the stream,
+    // summarized as a per-window table after the run.
+    let quality = match flags.optional("quality-window") {
+        Some(n) => {
+            let window: usize = n
+                .parse()
+                .ok()
+                .filter(|&w| w >= 1)
+                .ok_or_else(|| format!("--quality-window: bad value `{n}` (rows >= 1)"))?;
+            let cfg = QualityConfig {
+                window_rows: window,
+                alerts: quality_alerts_flag(flags)?,
+                ..QualityConfig::default()
             };
-            result.map_err(|e| format!("streaming: {e}"))?
-        };
-        if let Some(journal) = &obs_ctx.journal {
-            write_trace_events(journal, &rules2, &symbols2, &ledger, algo);
+            let names = rules.schema().attr_names().map(str::to_string).collect();
+            Some(QualityMonitor::new(cfg, names).with_registry(&obs_ctx.registry))
         }
-        obs::info!(
-            "repair.done",
-            algo = algo,
-            rows = stats.rows,
-            updates = stats.updates,
-            rows_per_sec = format!("{:.0}", stats.rows_per_sec(started.elapsed()))
-        );
-        println!(
-            "{} update(s) across {} row(s) of {} (streamed)",
-            stats.updates, stats.rows_touched, stats.rows
-        );
-        if let Some(cache) = &stream_cache {
-            report_plan_cache(cache);
-        }
-        if let Some(quality) = &quality {
-            // Seal the trailing partial window so the table covers every
-            // row, then print the per-window signal summary.
-            quality.flush();
-            print!("{}", quality.render_table());
-            if let Some(path) = flags.optional("quality-json") {
-                std::fs::write(path, quality.snapshot().to_string_pretty() + "\n")
-                    .map_err(|e| format!("writing {path}: {e}"))?;
-                obs::info!("quality.written", path = path);
-            }
-        }
-        println!("wrote {out}");
-        emit_profile(flags, attribution.as_ref())?;
-        finish_expose(hold, server);
-        return Ok(());
-    }
+        None => None,
+    };
     let ledger = ProvenanceLedger::new();
     // Optional observers (provenance for `--trace`, attribution for
-    // `--profile*`) tee onto the metrics observer as trait objects. The
-    // blanket `impl RepairObserver for &T` lets every generic driver take
-    // the assembled `&dyn` chain, instead of monomorphizing each Tee/no-Tee
-    // combination per engine.
+    // `--profile*`, quality for `--quality-window`) tee onto the metrics
+    // observer as trait objects. The blanket `impl RepairObserver for &T`
+    // lets the generic drivers take the assembled `&dyn` chain, instead of
+    // monomorphizing each Tee/no-Tee combination.
     let attribution = attribution_for(flags, obs_ctx, &rules);
     let prov = obs_ctx
         .journal
@@ -1446,6 +1358,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         .then(|| ProvenanceObserver::new(&rules, &ledger));
     let tee_prov;
     let tee_attr;
+    let tee_quality;
     let mut observer: &dyn RepairObserver = &obs_ctx.observer;
     if let Some(p) = &prov {
         tee_prov = Tee(observer, p as &dyn RepairObserver);
@@ -1455,85 +1368,50 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         tee_attr = Tee(observer, a as &dyn RepairObserver);
         observer = &tee_attr;
     }
-    let outcome: RepairOutcome = match algo {
-        "lrepair" => {
-            let index = {
-                let _span = obs_ctx.span("index_build");
-                LRepairIndex::build(&rules)
-            };
-            let _span = obs_ctx.span("repair");
-            if threads > 1 {
-                par_lrepair_table_observed(&rules, &index, &mut table, threads, &observer)
-            } else {
-                lrepair_table_observed(&rules, &index, &mut table, &observer)
-            }
-        }
-        "crepair" | "chase" => {
-            if threads > 1 {
-                return Err(
-                    "--threads does not apply to the chase engine (use --engine compiled-chase)"
-                        .to_string(),
-                );
-            }
-            let _span = obs_ctx.span("repair");
-            crepair_table_observed(&rules, &mut table, &observer)
-        }
-        "compiled" | "compiled-chase" => {
-            let engine = if algo == "compiled" {
-                CompiledEngine::Linear
-            } else {
-                CompiledEngine::Chase
-            };
-            let program = {
-                let _span = obs_ctx.span("compile");
-                RuleProgram::compile(&rules)
-            };
-            let cache = {
-                let _span = obs_ctx.span("plan_cache");
-                build_plan_cache(cache_spec.unwrap_or(CacheSpec::On), threads)
-            };
-            let outcome = {
+    if let Some(q) = &quality {
+        tee_quality = Tee(observer, q as &dyn RepairObserver);
+        observer = &tee_quality;
+    }
+    let out = flags.required("out")?;
+    let repaired = match input {
+        None => {
+            let data_path = flags.required("data")?;
+            let reader =
+                std::fs::File::open(data_path).map_err(|e| format!("opening {data_path}: {e}"))?;
+            let writer = std::io::BufWriter::new(
+                std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?,
+            );
+            let started = std::time::Instant::now();
+            let (stats, batch) = {
                 let _span = obs_ctx.span("repair");
-                if threads > 1 {
-                    par_compiled_table_observed(
-                        &rules,
-                        &program,
-                        engine,
-                        cache.as_ref(),
-                        &mut table,
-                        threads,
-                        &observer,
-                    )
-                } else {
-                    compiled_table_observed(
-                        &rules,
-                        &program,
-                        engine,
-                        cache.as_ref(),
-                        &mut table,
-                        &observer,
-                    )
-                }
+                stream_repair_csv(
+                    &rules,
+                    &program,
+                    engine,
+                    cache.as_ref(),
+                    &mut symbols,
+                    reader,
+                    writer,
+                    STREAM_BATCH_ROWS,
+                    &observer,
+                )
+                .map_err(|e| format!("streaming: {e}"))?
             };
-            if let Some(cache) = &cache {
-                report_plan_cache(cache);
-            }
-            outcome
+            obs::info!(
+                "repair.done",
+                algo = algo,
+                rows = stats.rows,
+                updates = stats.updates,
+                rows_per_sec = format!("{:.0}", stats.rows_per_sec(started.elapsed()))
+            );
+            print_batch(&batch);
+            println!(
+                "{} update(s) across {} row(s) of {} (streamed)",
+                stats.updates, stats.rows_touched, stats.rows
+            );
+            None
         }
-        "columnar" | "columnar-chase" => {
-            let engine = if algo == "columnar" {
-                CompiledEngine::Linear
-            } else {
-                CompiledEngine::Chase
-            };
-            let program = {
-                let _span = obs_ctx.span("compile");
-                RuleProgram::compile(&rules)
-            };
-            let cache = {
-                let _span = obs_ctx.span("plan_cache");
-                build_plan_cache(cache_spec.unwrap_or(CacheSpec::On), threads)
-            };
+        Some(table) => {
             let mut columns = ColumnTable::from(&table);
             let (outcome, batch) = {
                 let _span = obs_ctx.span("repair");
@@ -1558,47 +1436,47 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
                     )
                 }
             };
-            table = columns.to_table();
-            println!(
-                "batch: {} rows, {} distinct signatures ({} scattered)",
-                batch.rows, batch.groups, batch.scattered
+            let table = columns.to_table();
+            let stats = outcome.stats(table.len());
+            obs::info!(
+                "repair.done",
+                algo = algo,
+                rows = stats.rows,
+                updates = stats.updates,
+                rows_touched = stats.rows_touched
             );
-            if let Some(cache) = &cache {
-                report_plan_cache(cache);
-            }
-            outcome
-        }
-        other => {
-            return Err(format!(
-                "unknown engine `{other}` (lrepair|chase|crepair|compiled|compiled-chase|columnar|columnar-chase|stream)"
-            ))
+            print_batch(&batch);
+            println!(
+                "{} update(s) across {} row(s) of {}",
+                stats.updates, stats.rows_touched, stats.rows
+            );
+            Some((table, outcome))
         }
     };
+    if let Some(cache) = &cache {
+        report_plan_cache(cache);
+    }
     if let Some(journal) = &obs_ctx.journal {
         write_trace_events(journal, &rules, &symbols, &ledger, algo);
     }
-    let stats = outcome.stats(table.len());
-    obs::info!(
-        "repair.done",
-        algo = algo,
-        rows = stats.rows,
-        updates = stats.updates,
-        rows_touched = stats.rows_touched
-    );
-    println!(
-        "{} update(s) across {} row(s) of {}",
-        outcome.total_updates(),
-        outcome.rows_touched(),
-        table.len()
-    );
-    let out = flags.required("out")?;
-    {
+    if let Some(quality) = &quality {
+        // Seal the trailing partial window so the table covers every
+        // row, then print the per-window signal summary.
+        quality.flush();
+        print!("{}", quality.render_table());
+        if let Some(path) = flags.optional("quality-json") {
+            std::fs::write(path, quality.snapshot().to_string_pretty() + "\n")
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            obs::info!("quality.written", path = path);
+        }
+    }
+    if let Some((table, _)) = &repaired {
         let _span = obs_ctx.span("write");
-        relation::csv_io::write_csv_file(out, &table, &symbols)
+        relation::csv_io::write_csv_file(out, table, &symbols)
             .map_err(|e| format!("writing {out}: {e}"))?;
     }
     println!("wrote {out}");
-    if let Some(log_path) = flags.optional("updates-log") {
+    if let (Some((table, outcome)), Some(log_path)) = (&repaired, flags.optional("updates-log")) {
         let mut w = String::from("row,attribute,old,new,rule\n");
         for u in &outcome.updates {
             w.push_str(&format!(
@@ -1616,6 +1494,14 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     emit_profile(flags, attribution.as_ref())?;
     finish_expose(hold, server);
     Ok(())
+}
+
+/// Print the group-by shape of a repair run.
+fn print_batch(batch: &BatchStats) {
+    println!(
+        "batch: {} rows, {} distinct signatures ({} scattered)",
+        batch.rows, batch.groups, batch.scattered
+    );
 }
 
 /// Dump the run metadata, rule texts, and provenance ledger into the trace

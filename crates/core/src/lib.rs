@@ -26,8 +26,10 @@
 //!   resolution strategies ([`consistency`]);
 //! * the implication test for fixed schemas (§4.3) ([`implication`]);
 //! * the two repair algorithms: chase-based `cRepair` (Fig 6) and linear
-//!   `lRepair` with inverted lists and hash counters (Fig 7), plus a
-//!   parallel table driver ([`repair`]);
+//!   `lRepair` with inverted lists and hash counters (Fig 7), kept as
+//!   reference oracles, plus the one production path that reproduces
+//!   them byte for byte — a compiled, group-by-signature columnar core
+//!   behind the table, parallel and streaming drivers ([`repair`]);
 //! * per-cell repair provenance: a replayable ledger of rule applications
 //!   with their evidence bindings, feeding `fixctl explain`
 //!   ([`provenance`]);

@@ -1,38 +1,39 @@
 //! Batched columnar repair: gather, group by signature, repair each
-//! group once.
+//! group once — the one production repair path. `fixctl`, `fixd`, the
+//! streaming driver and the parallel driver all run
+//! [`repair_columns_grouped`]; the paper's `cRepair`/`lRepair` stay as
+//! the reference oracles it is tested against.
 //!
-//! The row-oriented compiled drivers pay one signature allocation and
-//! one cache probe (or one engine run) per tuple even when a batch is
-//! dominated by duplicate evidence projections. This module exploits the
-//! same redundancy *within* a batch: [`RuleProgram::signature_hashes`]
-//! fingerprints every row with one tight column scan per relevant
-//! attribute, rows are grouped by fingerprint with exact verification
-//! against each group representative's cells, and each distinct
-//! signature runs the compiled engine exactly once — the resulting
-//! [`RepairPlan`] is scattered back to every member row. A batch with
-//! `k` distinct signatures therefore does `k` engine runs (and `k`
-//! cache probes and signature allocations) instead of `n`, on top of
-//! the existing cross-batch [`PlanCache`] replay.
+//! [`RuleProgram::signature_hashes`] fingerprints every row with one
+//! tight column scan per relevant attribute, rows are grouped by
+//! fingerprint with exact verification against each group
+//! representative's cells, and each distinct signature runs the compiled
+//! engine exactly once — the resulting [`RepairPlan`] is scattered back
+//! to every member row. A batch with `k` distinct signatures therefore
+//! does `k` engine runs (and `k` cache probes and signature allocations)
+//! instead of `n`, on top of the cross-batch [`PlanCache`] replay.
 //!
 //! **Output equivalence.** Rows are visited in ascending order and each
-//! row emits the hooks the row driver would: a group's first row behaves
-//! like a plan-cache miss (or hit, when a previous batch already memoized
-//! the signature), and member rows replay the plan with the same per-fix
-//! `rule_applied`/`plan_replayed` calls a [`PlanCache`] hit produces —
-//! minus the cache probe, and with the members' `tuple_done`s coalesced
-//! into one [`RepairObserver::tuples_done`] per group (identical call
-//! multiset, so every final counter and histogram matches; per-call
-//! observer cost for a clean duplicate row drops to zero). Crucially
-//! `cell_repaired` fixes are still emitted per row in the identical
-//! `(row, ordinal)` order, so ledgers, repaired tables and output CSV
-//! are byte-identical to the row path (pinned by proptests); only the
+//! row emits the hooks a row-at-a-time driver would: a group's first row
+//! behaves like a plan-cache miss (or hit, when a previous batch already
+//! memoized the signature), and member rows replay the plan with one
+//! `rule_applied`/`plan_replayed` pair per fix — minus the cache probe,
+//! and with the members' `tuple_done`s coalesced into one
+//! [`RepairObserver::tuples_done`] per group (identical call multiset, so
+//! every final counter and histogram matches; per-call observer cost for
+//! a clean duplicate row drops to zero). Crucially `row_observed` and
+//! `cell_repaired` are still emitted per row in the identical
+//! `(row, ordinal)` order, so ledgers, quality windows, repaired tables
+//! and output CSV are byte-identical to the oracles (pinned by
+//! proptests); only the engine-work counters (`repair.plan.*` probes
+//! instead of `lRepair`'s `repair.index.*`/`repair.queue.*`), the
 //! `repair.plan_cache.*` lookup counts (k probes instead of n) and the
-//! columnar-only `repair.batch.*` counters differ.
+//! `repair.batch.*` group-by counters differ.
 
 use std::sync::Arc;
 
 use fxhash::FxHashMap;
-use obs::{NoopObserver, RepairObserver};
+use obs::RepairObserver;
 use relation::{AttrSet, ColumnTable, Symbol};
 
 use crate::repair::compile::{
@@ -113,12 +114,14 @@ fn run_group_rep<O: RepairObserver>(
 }
 
 /// The grouped core, shared by the sequential, parallel and streaming
-/// columnar drivers (and by servers that hold raw column buffers):
-/// repair `cols` (one mutable slice per attribute, all the same length)
-/// in place, returning updates re-indexed from `base_row` plus the
-/// batch's group-by shape. Emits one `batch_grouped` hook per non-empty
-/// batch. The columns must follow the attribute order of `rules`'
-/// schema.
+/// drivers (and by servers that hold raw column buffers): repair `cols`
+/// (one mutable slice per attribute, all the same length) in place,
+/// returning updates re-indexed from `base_row` plus the batch's
+/// group-by shape. When the observer answers `wants_rows`, each row's
+/// *pre-repair* symbol ids go to `row_observed` right before that row's
+/// fixes, so a quality monitor attributes every repair to the window
+/// that saw the row. Emits one `batch_grouped` hook per non-empty batch.
+/// The columns must follow the attribute order of `rules`' schema.
 #[allow(clippy::too_many_arguments)]
 pub fn repair_columns_grouped<O: RepairObserver>(
     rules: &RuleSet,
@@ -201,8 +204,15 @@ pub fn repair_columns_grouped<O: RepairObserver>(
     let mut all_updates: Vec<CellUpdate> = Vec::new();
     let mut row_buf: Vec<Symbol> = Vec::with_capacity(cols.len());
     let mut sig_buf: Vec<Symbol> = Vec::with_capacity(rel.len());
+    let wants_rows = observer.wants_rows();
+    let mut pre: Vec<u32> = Vec::new();
     let mut scattered = 0usize;
     for i in 0..rows {
+        if wants_rows {
+            pre.clear();
+            pre.extend(cols.iter().map(|c| c[i].0));
+            observer.row_observed(&pre);
+        }
         let g = group_of[i] as usize;
         if let Some(plan) = &plans[g] {
             scattered += 1;
@@ -283,24 +293,11 @@ pub fn repair_columns_grouped<O: RepairObserver>(
     (all_updates, stats)
 }
 
-/// Batched columnar repair of a whole [`ColumnTable`]: group-by-plan on
-/// top of the compiled engine. Produces exactly the table state and
-/// update log of [`crate::repair::compiled_table`] with the same
-/// `engine` (and therefore of the uncached driver it emulates), plus the
-/// batch's group-by shape.
-pub fn columnar_table(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-) -> (RepairOutcome, BatchStats) {
-    columnar_table_observed(rules, program, engine, cache, table, &NoopObserver)
-}
-
-/// [`columnar_table`] with observer hooks: the row driver's hooks minus
-/// the per-member cache probes, plus one `batch_grouped` per non-empty
-/// batch.
+/// Batched columnar repair of a whole [`ColumnTable`]: one
+/// [`repair_columns_grouped`] batch over every row. With
+/// [`CompiledEngine::Chase`] the table and update log equal
+/// [`crate::repair::crepair_table`]'s, with [`CompiledEngine::Linear`]
+/// [`crate::repair::lrepair_table`]'s, cache or no cache.
 pub fn columnar_table_observed<O: RepairObserver>(
     rules: &RuleSet,
     program: &RuleProgram,
@@ -328,160 +325,11 @@ pub fn columnar_table_observed<O: RepairObserver>(
     (RepairOutcome { updates }, stats)
 }
 
-/// Columnar `cRepair`: identical output to [`crate::repair::crepair_table`].
-pub fn crepair_columnar(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-) -> (RepairOutcome, BatchStats) {
-    columnar_table(rules, program, CompiledEngine::Chase, cache, table)
-}
-
-/// [`crepair_columnar`] with observer hooks.
-pub fn crepair_columnar_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-    observer: &O,
-) -> (RepairOutcome, BatchStats) {
-    columnar_table_observed(
-        rules,
-        program,
-        CompiledEngine::Chase,
-        cache,
-        table,
-        observer,
-    )
-}
-
-/// Columnar `lRepair`: identical output to [`crate::repair::lrepair_table`].
-pub fn lrepair_columnar(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-) -> (RepairOutcome, BatchStats) {
-    columnar_table(rules, program, CompiledEngine::Linear, cache, table)
-}
-
-/// [`lrepair_columnar`] with observer hooks.
-pub fn lrepair_columnar_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-    observer: &O,
-) -> (RepairOutcome, BatchStats) {
-    columnar_table_observed(
-        rules,
-        program,
-        CompiledEngine::Linear,
-        cache,
-        table,
-        observer,
-    )
-}
-
-/// Parallel columnar repair: columns are split into horizontal chunks
-/// (no transposition — each worker takes one disjoint slice per
-/// attribute), each worker runs its own local gather + group-by, and
-/// plans cross chunk boundaries only through the shared [`PlanCache`] —
-/// the same sharing contract as [`crate::repair::par_compiled_table`].
-/// The update log is byte-identical to the sequential columnar (and row)
-/// driver's after the final stable sort.
-pub fn par_columnar_table(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-    num_threads: usize,
-) -> (RepairOutcome, BatchStats) {
-    par_columnar_table_observed(
-        rules,
-        program,
-        engine,
-        cache,
-        table,
-        num_threads,
-        &NoopObserver,
-    )
-}
-
-/// [`par_columnar_table`] with observer hooks: per-row hooks from the
-/// shared observer (which must be `Sync`), one `batch_grouped` per
-/// worker chunk, and one `worker_done(worker, rows, updates, busy_ns)`
-/// per worker. The returned [`BatchStats`] sum the per-chunk stats, so
-/// `groups` may exceed the sequential driver's count when a signature
-/// spans chunks.
-#[allow(clippy::too_many_arguments)]
-pub fn par_columnar_table_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-    num_threads: usize,
-    observer: &O,
-) -> (RepairOutcome, BatchStats) {
-    assert!(
-        rules.schema().same_as(table.schema()),
-        "rule set and table must share a schema"
-    );
-    let num_threads = num_threads.max(1);
-    let rows = table.len();
-    if rows == 0 {
-        return (RepairOutcome::default(), BatchStats::default());
-    }
-    let chunk_rows = rows.div_ceil(num_threads);
-    let mut all_updates: Vec<CellUpdate> = Vec::new();
-    let mut total = BatchStats::default();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (chunk_idx, mut chunk) in table.columns_mut_chunks(chunk_rows).into_iter().enumerate() {
-            let base_row = chunk_idx * chunk_rows;
-            handles.push(scope.spawn(move || {
-                let start = std::time::Instant::now();
-                let mut scratch = CompiledScratch::new(rules.len());
-                let (local, stats) = repair_columns_grouped(
-                    rules,
-                    program,
-                    engine,
-                    cache,
-                    &mut scratch,
-                    &mut chunk,
-                    base_row,
-                    observer,
-                );
-                let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                observer.worker_done(chunk_idx, stats.rows, local.len(), busy_ns);
-                (local, stats)
-            }));
-        }
-        for h in handles {
-            let (local, stats) = h.join().expect("repair worker panicked");
-            all_updates.extend(local);
-            total.merge(stats);
-        }
-    });
-    // Same stable-sort argument as the parallel row driver: chunks append
-    // in ascending base_row and per-row application order survives, so
-    // the log is byte-identical to the sequential driver's.
-    all_updates.sort_by_key(|u| u.row);
-    (
-        RepairOutcome {
-            updates: all_updates,
-        },
-        total,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::compile::compiled_table;
+    use crate::repair::{crepair_table, lrepair_table, par_columnar_table_observed, LRepairIndex};
+    use obs::NoopObserver;
     use relation::{Schema, SymbolTable, Table};
 
     fn schema() -> Schema {
@@ -517,6 +365,29 @@ mod tests {
         rs
     }
 
+    /// Sequential linear-flavor repair, unobserved.
+    fn linear(
+        rules: &RuleSet,
+        program: &RuleProgram,
+        cache: Option<&PlanCache>,
+        table: &mut ColumnTable,
+    ) -> (RepairOutcome, BatchStats) {
+        let engine = CompiledEngine::Linear;
+        columnar_table_observed(rules, program, engine, cache, table, &NoopObserver)
+    }
+
+    /// Parallel repair, unobserved.
+    fn par(
+        rules: &RuleSet,
+        program: &RuleProgram,
+        engine: CompiledEngine,
+        cache: Option<&PlanCache>,
+        table: &mut ColumnTable,
+        threads: usize,
+    ) -> (RepairOutcome, BatchStats) {
+        par_columnar_table_observed(rules, program, engine, cache, table, threads, &NoopObserver)
+    }
+
     fn dup_table(rules: &RuleSet, sy: &mut SymbolTable, copies: usize) -> Table {
         let rows = [
             ["George", "China", "Beijing", "Beijing", "SIGMOD"],
@@ -540,16 +411,25 @@ mod tests {
         let mut sy = SymbolTable::new();
         let rules = fig8_rules(&mut sy);
         let program = RuleProgram::compile(&rules);
+        let index = LRepairIndex::build(&rules);
         let table = dup_table(&rules, &mut sy, 20);
         for engine in [CompiledEngine::Chase, CompiledEngine::Linear] {
+            let mut row_t = table.clone();
+            let row_out = match engine {
+                CompiledEngine::Chase => crepair_table(&rules, &mut row_t),
+                CompiledEngine::Linear => lrepair_table(&rules, &index, &mut row_t),
+            };
             for cached in [false, true] {
                 let cache = cached.then(PlanCache::unbounded);
-                let mut row_t = table.clone();
-                let row_out = compiled_table(&rules, &program, engine, cache.as_ref(), &mut row_t);
-                let cache2 = cached.then(PlanCache::unbounded);
                 let mut col_t = ColumnTable::from_table(&table);
-                let (col_out, stats) =
-                    columnar_table(&rules, &program, engine, cache2.as_ref(), &mut col_t);
+                let (col_out, stats) = columnar_table_observed(
+                    &rules,
+                    &program,
+                    engine,
+                    cache.as_ref(),
+                    &mut col_t,
+                    &NoopObserver,
+                );
                 assert_eq!(row_t.diff_cells(&col_t.to_table()).unwrap(), 0);
                 assert_eq!(row_out.updates, col_out.updates);
                 assert_eq!(stats.rows, 60);
@@ -567,41 +447,62 @@ mod tests {
         let table = dup_table(&rules, &mut sy, 50);
         let cache = PlanCache::unbounded();
         let mut col_t = ColumnTable::from_table(&table);
-        let (_, stats) = lrepair_columnar(&rules, &program, Some(&cache), &mut col_t);
+        let (_, stats) = linear(&rules, &program, Some(&cache), &mut col_t);
         // One cache probe per group, not per row.
         let cs = cache.stats();
         assert_eq!(cs.hits + cs.misses, stats.groups as u64);
         assert_eq!(cs.misses, 3);
         // A second batch over a warm cache probes k times and hits k times.
         let mut again = ColumnTable::from_table(&table);
-        let (_, stats2) = lrepair_columnar(&rules, &program, Some(&cache), &mut again);
+        let (_, stats2) = linear(&rules, &program, Some(&cache), &mut again);
         assert_eq!(stats2.groups, 3);
         assert_eq!(cache.stats().hits, 3);
     }
 
+    /// Every worker count reproduces the `lRepair` oracle's table and
+    /// update log, with a shared sharded cache or none, and the workers
+    /// share hits through the cache.
     #[test]
     fn parallel_columnar_matches_sequential() {
         let mut sy = SymbolTable::new();
         let rules = fig8_rules(&mut sy);
         let program = RuleProgram::compile(&rules);
+        let index = LRepairIndex::build(&rules);
         let table = dup_table(&rules, &mut sy, 40);
-        let mut seq_t = ColumnTable::from_table(&table);
-        let (seq_out, _) = lrepair_columnar(&rules, &program, None, &mut seq_t);
+        let mut seq_t = table.clone();
+        let seq_out = lrepair_table(&rules, &index, &mut seq_t);
         for threads in [1usize, 4, 7] {
-            let cache = PlanCache::sharded(4);
-            let mut par_t = ColumnTable::from_table(&table);
-            let (par_out, stats) = par_columnar_table(
-                &rules,
-                &program,
-                CompiledEngine::Linear,
-                Some(&cache),
-                &mut par_t,
-                threads,
-            );
-            assert_eq!(seq_t.to_table().diff_cells(&par_t.to_table()).unwrap(), 0);
-            assert_eq!(seq_out.updates, par_out.updates, "threads={threads}");
-            assert_eq!(stats.rows, 120);
+            for cached in [false, true] {
+                let cache = cached.then(|| PlanCache::sharded(16));
+                let mut par_t = ColumnTable::from_table(&table);
+                let engine = CompiledEngine::Linear;
+                let (par_out, stats) = par(
+                    &rules,
+                    &program,
+                    engine,
+                    cache.as_ref(),
+                    &mut par_t,
+                    threads,
+                );
+                assert_eq!(seq_t.diff_cells(&par_t.to_table()).unwrap(), 0);
+                assert_eq!(seq_out.updates, par_out.updates, "threads={threads}");
+                assert_eq!(stats.rows, 120);
+                if let Some(cache) = &cache {
+                    // Three signatures: at most one miss each per worker.
+                    let cs = cache.stats();
+                    assert_eq!(cs.hits + cs.misses, stats.groups as u64);
+                    assert!(cs.misses <= 3 * threads as u64, "threads={threads}");
+                    assert_eq!(cs.entries, 3);
+                }
+            }
         }
+        // Chase flavor against the cRepair oracle, uncached.
+        let mut chase_t = table.clone();
+        let chase_out = crepair_table(&rules, &mut chase_t);
+        let mut par_t = ColumnTable::from_table(&table);
+        let (par_out, _) = par(&rules, &program, CompiledEngine::Chase, None, &mut par_t, 4);
+        assert_eq!(chase_t.diff_cells(&par_t.to_table()).unwrap(), 0);
+        assert_eq!(chase_out.updates, par_out.updates);
     }
 
     #[test]
@@ -617,7 +518,7 @@ mod tests {
         }
         let cache = PlanCache::unbounded();
         let mut cols = ColumnTable::from_table(&t);
-        let (out, stats) = lrepair_columnar(&rules, &program, Some(&cache), &mut cols);
+        let (out, stats) = linear(&rules, &program, Some(&cache), &mut cols);
         assert!(out.updates.is_empty());
         assert_eq!(stats.groups, 1, "all rows share the empty signature");
         assert_eq!(stats.scattered, 4);
@@ -630,11 +531,10 @@ mod tests {
         let rules = fig8_rules(&mut sy);
         let program = RuleProgram::compile(&rules);
         let mut empty = ColumnTable::new(rules.schema().clone());
-        let (out, stats) = lrepair_columnar(&rules, &program, None, &mut empty);
+        let (out, stats) = linear(&rules, &program, None, &mut empty);
         assert!(out.updates.is_empty());
         assert_eq!(stats, BatchStats::default());
-        let (pout, pstats) =
-            par_columnar_table(&rules, &program, CompiledEngine::Chase, None, &mut empty, 4);
+        let (pout, pstats) = par(&rules, &program, CompiledEngine::Chase, None, &mut empty, 4);
         assert!(pout.updates.is_empty());
         assert_eq!(pstats, BatchStats::default());
     }

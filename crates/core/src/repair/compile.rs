@@ -13,11 +13,11 @@
 //!   computes the *relevant attribute closure* of Σ — every attribute any
 //!   rule reads (`X`, and `B` for the negative patterns) or writes (`B`) —
 //!   so each tuple reduces to a compact [`TupleSignature`].
-//! * [`PlanCache`] — signature → [`RepairPlan`] memoization. The first
-//!   tuple with a given signature runs the compiled engine and records the
-//!   ordered fix list (plus the assured-set delta); every later tuple with
-//!   the same signature replays the plan: one hash lookup, zero rule
-//!   evaluation. Sharded interior state lets the parallel driver share
+//! * [`PlanCache`] — signature → [`RepairPlan`] memoization across
+//!   batches. The first tuple with a given signature runs the compiled
+//!   engine and records the ordered fix list (plus the assured-set delta);
+//!   every later tuple with the same signature replays the plan: one hash
+//!   lookup, zero rule evaluation. Sharded interior state lets the parallel driver share
 //!   hits across threads; [`PlanCache::unbounded`] is the single-shard
 //!   (uncontended, effectively lock-free) fast path for sequential
 //!   drivers, and [`PlanCache::bounded_lru`] gives the streaming driver an
@@ -49,14 +49,15 @@
 //! A `PlanCache` must only be shared between runs using the same rule set
 //! *and* the same engine flavor: plans are keyed by signature alone.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fxhash::FxHashMap;
-use obs::{NoopObserver, RepairObserver};
-use relation::{AttrId, AttrSet, Symbol, Table};
+use obs::RepairObserver;
+use relation::{AttrId, AttrSet, Symbol};
 
-use crate::repair::{CellUpdate, RepairOutcome};
+use crate::repair::CellUpdate;
 use crate::ruleset::{RuleId, RuleSet};
 use crate::semantics::{matches, properly_applicable};
 
@@ -151,36 +152,6 @@ impl RuleProgram {
         }
     }
 
-    /// The tuple's projection on the relevant attribute closure — the plan
-    /// cache key. Two rows with equal signatures are repaired identically.
-    #[inline]
-    pub fn signature(&self, row: &[Symbol]) -> TupleSignature {
-        TupleSignature(self.relevant_attrs.iter().map(|a| row[a.index()]).collect())
-    }
-
-    /// Gather every row's signature into `flat` as a dense row-major
-    /// `rows × closure-width` matrix: one tight pass per relevant
-    /// attribute instead of one strided row walk per tuple. Row `i`'s
-    /// signature is `flat[i*w..(i+1)*w]` for `w = relevant_attrs().len()`
-    /// — the same projection [`RuleProgram::signature`] computes, laid
-    /// out for the columnar group-by driver.
-    pub fn signatures_batch<C: AsRef<[Symbol]>>(
-        &self,
-        columns: &[C],
-        rows: usize,
-        flat: &mut Vec<Symbol>,
-    ) {
-        let w = self.relevant_attrs.len();
-        flat.clear();
-        flat.resize(rows * w, Symbol(0));
-        for (j, attr) in self.relevant_attrs.iter().enumerate() {
-            let col = columns[attr.index()].as_ref();
-            for (i, &sym) in col[..rows].iter().enumerate() {
-                flat[i * w + j] = sym;
-            }
-        }
-    }
-
     /// Fingerprint every row's relevant-attribute projection into
     /// `hashes`: one sequential pass per relevant column folds each cell
     /// into the row's running 64-bit hash (the fxhash rotate–xor–multiply
@@ -212,7 +183,7 @@ impl RuleProgram {
     }
 
     /// The relevant attribute closure as a sorted slice — the signature
-    /// layout ([`RuleProgram::signatures_batch`]'s column order).
+    /// layout, in the order [`RuleProgram::signature_hashes`] folds it.
     pub fn relevant_attrs(&self) -> &[AttrId] {
         &self.relevant_attrs
     }
@@ -234,8 +205,8 @@ impl RuleProgram {
 pub struct TupleSignature(Box<[Symbol]>);
 
 impl TupleSignature {
-    /// Build a signature from an already-gathered projection (a row of
-    /// [`RuleProgram::signatures_batch`]'s matrix).
+    /// Build a signature from an already-gathered projection, in
+    /// [`RuleProgram::relevant_attrs`] order.
     pub(crate) fn from_slice(symbols: &[Symbol]) -> Self {
         TupleSignature(symbols.into())
     }
@@ -288,26 +259,6 @@ impl RepairPlan {
     pub fn is_clean(&self) -> bool {
         self.updates.is_empty()
     }
-
-    /// Apply the plan to `row`, emitting the same `rule_applied` /
-    /// `tuple_done` hook sequence the original engine run did, plus one
-    /// `plan_replayed` per fix so attribution can tell memoized
-    /// applications from live evaluations. Returns the updates (`row`
-    /// field 0) for the driver to re-index.
-    fn replay<O: RepairObserver>(&self, row: &mut [Symbol], observer: &O) -> Vec<CellUpdate> {
-        for u in &self.updates {
-            debug_assert_eq!(
-                row[u.attr.index()],
-                u.old,
-                "plan replayed on a row with a different signature"
-            );
-            row[u.attr.index()] = u.new;
-            observer.rule_applied(u.rule.index(), u.attr.index());
-            observer.plan_replayed(u.rule.index(), u.attr.index());
-        }
-        observer.tuple_done(self.rounds, self.updates.len());
-        self.updates.clone()
-    }
 }
 
 /// Hit/miss/eviction counters and current size of a [`PlanCache`].
@@ -332,12 +283,18 @@ struct CacheEntry {
 #[derive(Debug, Default)]
 struct Shard {
     map: FxHashMap<TupleSignature, CacheEntry>,
+    /// Recency order of a bounded shard (last-use tick → signature), so
+    /// the LRU victim is the first entry: a stream of novel signatures
+    /// evicts on every insert, which must not scan the whole shard. Empty
+    /// in unbounded shards.
+    lru: BTreeMap<u64, TupleSignature>,
     /// Per-shard logical clock; bumped on every lookup/insert, stamped
     /// into entries for exact LRU eviction.
     tick: u64,
 }
 
-/// Signature → plan memo shared by the compiled drivers.
+/// Signature → plan memo shared across batches (and workers) of the
+/// grouped core.
 ///
 /// Interior state is sharded (`N` power-of-two shards, each behind its own
 /// mutex) so parallel workers share hits with minimal contention; the
@@ -405,11 +362,14 @@ impl PlanCache {
     /// Look a signature up, bumping its recency on hit.
     pub fn get(&self, sig: &TupleSignature) -> Option<Arc<RepairPlan>> {
         let mut shard = self.shards[self.shard_for(sig)].lock().unwrap();
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.map.get_mut(sig) {
+        let Shard { map, lru, tick } = &mut *shard;
+        *tick += 1;
+        match map.get_mut(sig) {
             Some(entry) => {
-                entry.last_used = tick;
+                if let Some(sig) = lru.remove(&entry.last_used) {
+                    lru.insert(*tick, sig);
+                }
+                entry.last_used = *tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(&entry.plan))
             }
@@ -424,31 +384,28 @@ impl PlanCache {
     /// capacity. Returns the number of evictions (0 or 1).
     pub fn insert(&self, sig: TupleSignature, plan: RepairPlan) -> usize {
         let mut shard = self.shards[self.shard_for(&sig)].lock().unwrap();
-        shard.tick += 1;
-        let tick = shard.tick;
+        let Shard { map, lru, tick } = &mut *shard;
+        *tick += 1;
         let mut evicted = 0;
         if let Some(cap) = self.shard_capacity {
-            if shard.map.len() >= cap && !shard.map.contains_key(&sig) {
-                // Exact LRU: ticks are unique per shard, so the minimum is
-                // deterministic. Linear scan is fine — bounded caches are
-                // small by construction and eviction is the rare path.
-                if let Some(victim) = shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                {
-                    shard.map.remove(&victim);
+            if let Some(old) = map.get(&sig) {
+                lru.remove(&old.last_used);
+            } else if map.len() >= cap {
+                // Exact LRU: ticks are unique per shard, so the oldest
+                // tick is a deterministic victim.
+                if let Some((_, victim)) = lru.pop_first() {
+                    map.remove(&victim);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                     evicted = 1;
                 }
             }
+            lru.insert(*tick, sig.clone());
         }
-        shard.map.insert(
+        map.insert(
             sig,
             CacheEntry {
                 plan: Arc::new(plan),
-                last_used: tick,
+                last_used: *tick,
             },
         );
         evicted
@@ -700,8 +657,14 @@ fn linear_compiled<O: RepairObserver>(
     (updates, pops)
 }
 
+/// Repair one tuple in place with the compiled engine, uncached: the
+/// single-tuple entry point (fixcert's confluence chase uses it). The
+/// chase flavor returns exactly [`crate::repair::crepair_tuple`]'s
+/// updates, the linear flavor [`crate::repair::lrepair_tuple`]'s — `row`
+/// field 0 — plus the chase rounds / queue pops of the run. Emits the
+/// engine's per-rule hooks but no `tuple_done`; callers account for that.
 #[inline]
-pub(crate) fn run_engine<O: RepairObserver>(
+pub fn run_engine<O: RepairObserver>(
     rules: &RuleSet,
     program: &RuleProgram,
     engine: CompiledEngine,
@@ -715,193 +678,13 @@ pub(crate) fn run_engine<O: RepairObserver>(
     }
 }
 
-/// Repair one row with the compiled engine, consulting `cache` when
-/// present: a hit replays the memoized plan, a miss runs the engine and
-/// memoizes the result. Returns the updates (`row` field 0; drivers
-/// re-index). Used by every compiled driver — sequential, parallel and
-/// streaming.
-pub fn repair_row_compiled<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    scratch: &mut CompiledScratch,
-    row: &mut [Symbol],
-    observer: &O,
-) -> Vec<CellUpdate> {
-    let Some(cache) = cache else {
-        let (updates, rounds) = run_engine(rules, program, engine, scratch, row, observer);
-        observer.tuple_done(rounds, updates.len());
-        return updates;
-    };
-    let sig = program.signature(row);
-    if let Some(plan) = cache.get(&sig) {
-        observer.plan_cache_lookup(true);
-        return plan.replay(row, observer);
-    }
-    observer.plan_cache_lookup(false);
-    let (updates, rounds) = run_engine(rules, program, engine, scratch, row, observer);
-    observer.tuple_done(rounds, updates.len());
-    let assured = updates.iter().fold(AttrSet::EMPTY, |acc, u| {
-        acc.union(rules.rule(u.rule).assured_delta())
-    });
-    for _ in 0..cache.insert(sig, RepairPlan::new(updates.clone(), rounds, assured)) {
-        observer.plan_cache_evicted();
-    }
-    updates
-}
-
-/// Repair one tuple with the compiled chase engine (no cache). Byte-
-/// compatible with [`crate::repair::crepair_tuple`].
-pub fn crepair_compiled_tuple(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    scratch: &mut CompiledScratch,
-    row: &mut [Symbol],
-) -> Vec<CellUpdate> {
-    repair_row_compiled(
-        rules,
-        program,
-        CompiledEngine::Chase,
-        None,
-        scratch,
-        row,
-        &NoopObserver,
-    )
-}
-
-/// Repair one tuple with the compiled linear engine (no cache). Byte-
-/// compatible with [`crate::repair::lrepair_tuple`].
-pub fn lrepair_compiled_tuple(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    scratch: &mut CompiledScratch,
-    row: &mut [Symbol],
-) -> Vec<CellUpdate> {
-    repair_row_compiled(
-        rules,
-        program,
-        CompiledEngine::Linear,
-        None,
-        scratch,
-        row,
-        &NoopObserver,
-    )
-}
-
-/// Table driver over [`repair_row_compiled`]: pass
-/// [`CompiledEngine::Chase`] for `cRepair`-identical output and
-/// [`CompiledEngine::Linear`] for `lRepair`-identical output, with
-/// optional plan memoization.
-pub fn compiled_table(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-) -> RepairOutcome {
-    compiled_table_observed(rules, program, engine, cache, table, &NoopObserver)
-}
-
-/// [`compiled_table`] with observer hooks: the per-tuple hooks of the
-/// emulated engine plus `plan_probe`, `plan_cache_lookup`,
-/// `plan_cache_evicted`, and one `cell_repaired` per applied update.
-pub fn compiled_table_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-    observer: &O,
-) -> RepairOutcome {
-    assert!(
-        rules.schema().same_as(table.schema()),
-        "rule set and table must share a schema"
-    );
-    let mut scratch = CompiledScratch::new(rules.len());
-    let mut outcome = RepairOutcome::default();
-    for i in 0..table.len() {
-        let mut ups = repair_row_compiled(
-            rules,
-            program,
-            engine,
-            cache,
-            &mut scratch,
-            table.row_mut(i),
-            observer,
-        );
-        for (k, u) in ups.iter_mut().enumerate() {
-            u.row = i;
-            observer.cell_repaired(u.as_fix(k));
-        }
-        outcome.updates.extend(ups);
-    }
-    outcome
-}
-
-/// Compiled `cRepair` over a table: identical table state, update log and
-/// provenance ledger to [`crate::repair::crepair_table`].
-pub fn crepair_compiled(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-) -> RepairOutcome {
-    compiled_table(rules, program, CompiledEngine::Chase, cache, table)
-}
-
-/// [`crepair_compiled`] with observer hooks.
-pub fn crepair_compiled_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-    observer: &O,
-) -> RepairOutcome {
-    compiled_table_observed(
-        rules,
-        program,
-        CompiledEngine::Chase,
-        cache,
-        table,
-        observer,
-    )
-}
-
-/// Compiled `lRepair` over a table: identical table state, update log and
-/// provenance ledger to [`crate::repair::lrepair_table`].
-pub fn lrepair_compiled(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-) -> RepairOutcome {
-    compiled_table(rules, program, CompiledEngine::Linear, cache, table)
-}
-
-/// [`lrepair_compiled`] with observer hooks.
-pub fn lrepair_compiled_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-    observer: &O,
-) -> RepairOutcome {
-    compiled_table_observed(
-        rules,
-        program,
-        CompiledEngine::Linear,
-        cache,
-        table,
-        observer,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::repair::chase::crepair_tuple;
+    use crate::repair::columnar::repair_columns_grouped;
     use crate::repair::linear::{lrepair_tuple, LRepairIndex, LRepairScratch};
+    use obs::NoopObserver;
     use relation::{Schema, SymbolTable};
 
     fn schema() -> Schema {
@@ -957,6 +740,32 @@ mod tests {
         .collect()
     }
 
+    /// Repair one row as a one-row batch through the grouped core.
+    fn repair_one(
+        rules: &RuleSet,
+        program: &RuleProgram,
+        cache: Option<&PlanCache>,
+        scratch: &mut CompiledScratch,
+        row: &mut [Symbol],
+    ) -> Vec<CellUpdate> {
+        let mut cols: Vec<Vec<Symbol>> = row.iter().map(|&s| vec![s]).collect();
+        let mut slices: Vec<&mut [Symbol]> = cols.iter_mut().map(|c| c.as_mut_slice()).collect();
+        let (updates, _) = repair_columns_grouped(
+            rules,
+            program,
+            CompiledEngine::Linear,
+            cache,
+            scratch,
+            &mut slices,
+            0,
+            &NoopObserver,
+        );
+        for (cell, col) in row.iter_mut().zip(&cols) {
+            *cell = col[0];
+        }
+        updates
+    }
+
     #[test]
     fn program_groups_and_closure() {
         let mut sy = SymbolTable::new();
@@ -983,20 +792,18 @@ mod tests {
         let mut sy = SymbolTable::new();
         let rules = fig8_rules(&mut sy);
         let program = RuleProgram::compile(&rules);
-        let a: Vec<Symbol> = ["Ian", "China", "Shanghai", "Hongkong", "ICDE"]
-            .iter()
-            .map(|v| sy.intern(v))
+        let rows = [
+            ["Ian", "China", "Shanghai", "Hongkong", "ICDE"],
+            ["Zoe", "China", "Shanghai", "Hongkong", "ICDE"],
+            ["Ian", "China", "Hongkong", "Hongkong", "ICDE"],
+        ];
+        let cols: Vec<Vec<Symbol>> = (0..5)
+            .map(|a| rows.iter().map(|r| sy.intern(r[a])).collect())
             .collect();
-        let b: Vec<Symbol> = ["Zoe", "China", "Shanghai", "Hongkong", "ICDE"]
-            .iter()
-            .map(|v| sy.intern(v))
-            .collect();
-        let c: Vec<Symbol> = ["Ian", "China", "Hongkong", "Hongkong", "ICDE"]
-            .iter()
-            .map(|v| sy.intern(v))
-            .collect();
-        assert_eq!(program.signature(&a), program.signature(&b));
-        assert_ne!(program.signature(&a), program.signature(&c));
+        let mut hashes = Vec::new();
+        program.signature_hashes(&cols, rows.len(), &mut hashes);
+        assert_eq!(hashes[0], hashes[1], "`name` is outside the closure");
+        assert_ne!(hashes[0], hashes[2]);
     }
 
     #[test]
@@ -1011,16 +818,28 @@ mod tests {
             let mut chase_row = row.clone();
             let mut compiled_row = row.clone();
             let chase_ups = crepair_tuple(&rules, &mut chase_row);
-            let compiled_ups =
-                crepair_compiled_tuple(&rules, &program, &mut cscratch, &mut compiled_row);
+            let (compiled_ups, _) = run_engine(
+                &rules,
+                &program,
+                CompiledEngine::Chase,
+                &mut cscratch,
+                &mut compiled_row,
+                &NoopObserver,
+            );
             assert_eq!(chase_ups, compiled_ups, "chase flavor diverged");
             assert_eq!(chase_row, compiled_row);
 
             let mut linear_row = row.clone();
             let mut compiled_row = row.clone();
             let linear_ups = lrepair_tuple(&rules, &index, &mut lscratch, &mut linear_row);
-            let compiled_ups =
-                lrepair_compiled_tuple(&rules, &program, &mut cscratch, &mut compiled_row);
+            let (compiled_ups, _) = run_engine(
+                &rules,
+                &program,
+                CompiledEngine::Linear,
+                &mut cscratch,
+                &mut compiled_row,
+                &NoopObserver,
+            );
             assert_eq!(linear_ups, compiled_ups, "linear flavor diverged");
             assert_eq!(linear_row, compiled_row);
         }
@@ -1038,36 +857,25 @@ mod tests {
             .map(|v| sy.intern(v))
             .collect();
         let mut first = dirty.clone();
-        let miss_ups = repair_row_compiled(
-            &rules,
-            &program,
-            CompiledEngine::Linear,
-            Some(&cache),
-            &mut scratch,
-            &mut first,
-            &NoopObserver,
-        );
+        let miss_ups = repair_one(&rules, &program, Some(&cache), &mut scratch, &mut first);
         // Same signature, different irrelevant attr: must hit and replay.
         let mut second: Vec<Symbol> = ["Zoe", "China", "Shanghai", "Hongkong", "ICDE"]
             .iter()
             .map(|v| sy.intern(v))
             .collect();
-        let hit_ups = repair_row_compiled(
-            &rules,
-            &program,
-            CompiledEngine::Linear,
-            Some(&cache),
-            &mut scratch,
-            &mut second,
-            &NoopObserver,
-        );
+        let hit_ups = repair_one(&rules, &program, Some(&cache), &mut scratch, &mut second);
         assert_eq!(miss_ups, hit_ups);
         assert_eq!(first[1..], second[1..]);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.entries, 1);
         // The cached plan carries the assured delta of the applied rules.
-        let plan = cache.get(&program.signature(&dirty)).unwrap();
+        let sig: Vec<Symbol> = program
+            .relevant_attrs()
+            .iter()
+            .map(|a| dirty[a.index()])
+            .collect();
+        let plan = cache.get(&TupleSignature::from_slice(&sig)).unwrap();
         assert_eq!(plan.updates().len(), 2);
         assert!(!plan.is_clean());
         let s = schema();
@@ -1110,15 +918,7 @@ mod tests {
                     let mut scratch = CompiledScratch::new(rules.len());
                     for _ in 0..50 {
                         let mut row = dirty.clone();
-                        repair_row_compiled(
-                            rules,
-                            program,
-                            CompiledEngine::Linear,
-                            Some(cache),
-                            &mut scratch,
-                            &mut row,
-                            &NoopObserver,
-                        );
+                        repair_one(rules, program, Some(cache), &mut scratch, &mut row);
                     }
                 });
             }
@@ -1142,15 +942,7 @@ mod tests {
             .map(|v| sy.intern(v))
             .collect();
         for _ in 0..3 {
-            let ups = repair_row_compiled(
-                &rules,
-                &program,
-                CompiledEngine::Chase,
-                Some(&cache),
-                &mut scratch,
-                &mut row,
-                &NoopObserver,
-            );
+            let ups = repair_one(&rules, &program, Some(&cache), &mut scratch, &mut row);
             assert!(ups.is_empty());
         }
         // All rows share the empty signature: one miss, then hits.

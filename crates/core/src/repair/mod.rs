@@ -1,6 +1,7 @@
 //! Repairing data with a consistent set of fixing rules (§6).
 //!
-//! Two per-tuple algorithms, matching the paper:
+//! Two per-tuple algorithms, matching the paper, kept as the reference
+//! oracles for tests, the paper reproduction and the Fig 10 benches:
 //!
 //! * [`chase`] — `cRepair` (Fig 6): rescan the unused rules after every
 //!   update; `O(size(Σ)·|R|)` per tuple.
@@ -8,21 +9,22 @@
 //!   value)` keys to rules plus per-rule hash counters of matched evidence
 //!   cells; `O(size(Σ))` per tuple.
 //!
-//! [`parallel`] adds a table-level driver that shards rows across threads —
-//! sound because fixing rules are strictly per-tuple (unlike FD repair,
-//! which must reason across tuples).
-//!
-//! [`compile`] adds a third execution strategy on top of either algorithm:
-//! the rule set is compiled once into a [`RuleProgram`] (evidence-group
-//! hash dispatch + relevant attribute closure), and repair plans are
-//! memoized per [`TupleSignature`] in a [`PlanCache`], so duplicate dirty
-//! tuples are repaired by replaying a cached plan instead of re-running
-//! the engine. The compiled drivers reproduce the uncached drivers'
-//! output — including the provenance ledger — byte for byte.
-//!
 //! Both algorithms require a **consistent** rule set; by the Church–Rosser
-//! property (§6.1) they then produce the same unique fix per tuple, which is
-//! asserted by the cross-algorithm tests and property tests.
+//! property (§6.1) they then produce the same unique fix per tuple.
+//!
+//! Production repair has **one path** with orthogonal knobs: the grouped
+//! columnar core [`repair_columns_grouped`] ([`columnar`]) runs the rule
+//! set compiled into a [`RuleProgram`] ([`compile`]) once per distinct
+//! tuple signature in a batch, optionally memoizing plans across batches
+//! in a [`PlanCache`]. The knobs are the engine flavor
+//! ([`CompiledEngine::Chase`] reproduces `cRepair`'s output, round stamps
+//! and provenance ledger byte for byte, [`CompiledEngine::Linear`]
+//! `lRepair`'s), the cache, the worker count
+//! ([`par_columnar_table_observed`] in [`parallel`] shards rows, sound
+//! because fixing rules are strictly per-tuple) and the observer. The table
+//! ([`columnar_table_observed`]), parallel and streaming
+//! ([`stream_repair_csv`]) drivers only differ in where the batch comes
+//! from; [`run_engine`] is the single-tuple entry point.
 
 pub mod chase;
 pub mod columnar;
@@ -33,15 +35,9 @@ pub mod parallel;
 pub mod stream;
 
 pub use chase::{crepair_table, crepair_table_observed, crepair_tuple, crepair_tuple_observed};
-pub use columnar::{
-    columnar_table, columnar_table_observed, crepair_columnar, crepair_columnar_observed,
-    lrepair_columnar, lrepair_columnar_observed, par_columnar_table, par_columnar_table_observed,
-    repair_columns_grouped, BatchStats,
-};
+pub use columnar::{columnar_table_observed, repair_columns_grouped, BatchStats};
 pub use compile::{
-    compiled_table, compiled_table_observed, crepair_compiled, crepair_compiled_observed,
-    crepair_compiled_tuple, lrepair_compiled, lrepair_compiled_observed, lrepair_compiled_tuple,
-    repair_row_compiled, CompiledEngine, CompiledScratch, PlanCache, PlanCacheStats, RepairPlan,
+    run_engine, CompiledEngine, CompiledScratch, PlanCache, PlanCacheStats, RepairPlan,
     RuleProgram, TupleSignature,
 };
 pub use detect::{detect_table, explain};
@@ -49,14 +45,8 @@ pub use linear::{
     lrepair_table, lrepair_table_observed, lrepair_tuple, lrepair_tuple_observed, LRepairIndex,
     LRepairScratch,
 };
-pub use parallel::{
-    par_compiled_table, par_compiled_table_observed, par_lrepair_table, par_lrepair_table_observed,
-};
-pub use stream::{
-    stream_repair_csv, stream_repair_csv_columnar, stream_repair_csv_columnar_observed,
-    stream_repair_csv_compiled, stream_repair_csv_compiled_observed, stream_repair_csv_observed,
-    StreamStats,
-};
+pub use parallel::par_columnar_table_observed;
+pub use stream::{stream_repair_csv, StreamStats};
 
 use relation::{AttrId, Symbol};
 

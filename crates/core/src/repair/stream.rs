@@ -2,24 +2,22 @@
 //!
 //! Fixing rules are strictly per-tuple — unlike FD repair, no cross-tuple
 //! state exists — so a table of any size can be repaired in one pass with
-//! O(rules + vocabulary) memory: read a record, run `lRepair` on it, write
-//! it out. This is an engineering extension beyond the paper (its
-//! experiments materialise tables), enabled by exactly the per-tuple
-//! property the paper's complexity analysis relies on.
+//! O(batch + rules + vocabulary) memory: read a batch of records into
+//! columns, repair it with the grouped core, write it out. This is an
+//! engineering extension beyond the paper (its experiments materialise
+//! tables), enabled by exactly the per-tuple property the paper's
+//! complexity analysis relies on.
 //!
 //! Memory note: the [`SymbolTable`] interns every distinct cell value seen,
 //! so memory is bounded by the input's *vocabulary*, not its row count.
 
 use std::io::{Read, Write};
 
-use obs::{NoopObserver, RepairObserver};
+use obs::RepairObserver;
 use relation::{RelationError, Symbol, SymbolTable};
 
 use crate::repair::columnar::{repair_columns_grouped, BatchStats};
-use crate::repair::compile::{
-    repair_row_compiled, CompiledEngine, CompiledScratch, PlanCache, RuleProgram,
-};
-use crate::repair::linear::{lrepair_tuple_observed, LRepairIndex, LRepairScratch};
+use crate::repair::compile::{CompiledEngine, CompiledScratch, PlanCache, RuleProgram};
 use crate::repair::RepairStats;
 use crate::ruleset::RuleSet;
 
@@ -29,221 +27,25 @@ use crate::ruleset::RuleSet;
 /// and `touched_ratio`/`rows_per_sec` accessors.
 pub type StreamStats = RepairStats;
 
-/// Repair CSV records from `reader` to `writer` in one pass.
+/// Repair CSV records from `reader` to `writer` in batches of up to
+/// `batch_rows` records: each batch is read into per-attribute columns
+/// and repaired by [`repair_columns_grouped`], so each distinct
+/// signature runs the compiled engine (or probes `cache`) once per
+/// batch. Memory is bounded by `batch_rows × arity` cells, the cache and
+/// the vocabulary — a stream has no end in sight, so pass a
+/// [`PlanCache::bounded_lru`] (an evicted signature that recurs simply
+/// misses once and is re-planned) or `None`; output is byte-identical
+/// either way, and equal to `lRepair`/`cRepair` record by record for
+/// the linear/chase `engine`.
 ///
 /// The CSV header must match the rule set's schema attribute names (same
 /// names, same order) — the rules' attribute ids index positionally into
-/// each record.
-pub fn stream_repair_csv<R: Read, W: Write>(
-    rules: &RuleSet,
-    index: &LRepairIndex,
-    symbols: &mut SymbolTable,
-    reader: R,
-    writer: W,
-) -> Result<StreamStats, RelationError> {
-    stream_repair_csv_observed(rules, index, symbols, reader, writer, &NoopObserver)
-}
-
-/// [`stream_repair_csv`] with observer hooks: per-tuple hooks from
-/// `lRepair`, one `cell_repaired` per applied update (`row` = 0-based
-/// record index), plus one `stream_record(vocab)` per record carrying the
-/// interner size (the memory-bounding quantity of this driver). When the
-/// observer answers `wants_rows`, each record's *pre-repair* symbol ids
-/// are also reported through `row_observed` (before any rule fires), so a
-/// quality monitor sees the incoming distribution, not the repaired one.
-pub fn stream_repair_csv_observed<R: Read, W: Write, O: RepairObserver>(
-    rules: &RuleSet,
-    index: &LRepairIndex,
-    symbols: &mut SymbolTable,
-    reader: R,
-    writer: W,
-    observer: &O,
-) -> Result<StreamStats, RelationError> {
-    let mut rdr = csv::ReaderBuilder::new()
-        .has_headers(true)
-        .flexible(false)
-        .from_reader(reader);
-    let headers = rdr.headers()?.clone();
-    let schema = rules.schema();
-    if headers.len() != schema.arity()
-        || !headers.iter().zip(schema.attr_names()).all(|(h, a)| h == a)
-    {
-        return Err(RelationError::UnknownAttribute(format!(
-            "CSV header [{}] does not match rule schema {}",
-            headers.iter().collect::<Vec<_>>().join(", "),
-            schema
-        )));
-    }
-    let mut wtr = csv::Writer::from_writer(writer);
-    wtr.write_record(&headers)?;
-
-    let mut scratch = LRepairScratch::new(rules.len());
-    let mut row: Vec<Symbol> = Vec::with_capacity(schema.arity());
-    let mut pre: Vec<u32> = Vec::with_capacity(schema.arity());
-    let mut stats = StreamStats::default();
-    for record in rdr.records() {
-        let record = record?;
-        row.clear();
-        row.extend(record.iter().map(|cell| symbols.intern(cell)));
-        if observer.wants_rows() {
-            pre.clear();
-            pre.extend(row.iter().map(|s| s.0));
-            observer.row_observed(&pre);
-        }
-        let mut updates = lrepair_tuple_observed(rules, index, &mut scratch, &mut row, observer);
-        if !updates.is_empty() {
-            stats.rows_touched += 1;
-            stats.updates += updates.len();
-        }
-        for (k, u) in updates.iter_mut().enumerate() {
-            u.row = stats.rows;
-            observer.cell_repaired(u.as_fix(k));
-        }
-        stats.rows += 1;
-        observer.stream_record(symbols.len());
-        wtr.write_record(row.iter().map(|&s| symbols.resolve(s)))?;
-    }
-    wtr.flush()?;
-    Ok(stats)
-}
-
-/// Repair CSV records from `reader` to `writer` in one pass with the
-/// compiled engine, memoizing repair plans in `cache`.
-///
-/// A stream has no end in sight, so the cache should be bounded — pass a
-/// [`PlanCache::bounded_lru`] to cap memory at `capacity` plans with exact
-/// least-recently-used eviction (an evicted signature that recurs simply
-/// misses once and is re-planned). `cache = None` disables memoization;
-/// output is byte-identical either way.
-pub fn stream_repair_csv_compiled<R: Read, W: Write>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    symbols: &mut SymbolTable,
-    reader: R,
-    writer: W,
-) -> Result<StreamStats, RelationError> {
-    stream_repair_csv_compiled_observed(
-        rules,
-        program,
-        engine,
-        cache,
-        symbols,
-        reader,
-        writer,
-        &NoopObserver,
-    )
-}
-
-/// [`stream_repair_csv_compiled`] with observer hooks; same hook contract
-/// as [`stream_repair_csv_observed`] plus the plan-cache hooks.
+/// each record. Hooks are the grouped core's (`row_observed` with each
+/// record's pre-repair values right before its fixes, `cell_repaired`
+/// with `row` = 0-based record index), plus one `stream_record(vocab)`
+/// per record carrying the interner size.
 #[allow(clippy::too_many_arguments)]
-pub fn stream_repair_csv_compiled_observed<R: Read, W: Write, O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    symbols: &mut SymbolTable,
-    reader: R,
-    writer: W,
-    observer: &O,
-) -> Result<StreamStats, RelationError> {
-    let mut rdr = csv::ReaderBuilder::new()
-        .has_headers(true)
-        .flexible(false)
-        .from_reader(reader);
-    let headers = rdr.headers()?.clone();
-    let schema = rules.schema();
-    if headers.len() != schema.arity()
-        || !headers.iter().zip(schema.attr_names()).all(|(h, a)| h == a)
-    {
-        return Err(RelationError::UnknownAttribute(format!(
-            "CSV header [{}] does not match rule schema {}",
-            headers.iter().collect::<Vec<_>>().join(", "),
-            schema
-        )));
-    }
-    let mut wtr = csv::Writer::from_writer(writer);
-    wtr.write_record(&headers)?;
-
-    let mut scratch = CompiledScratch::new(rules.len());
-    let mut row: Vec<Symbol> = Vec::with_capacity(schema.arity());
-    let mut pre: Vec<u32> = Vec::with_capacity(schema.arity());
-    let mut stats = StreamStats::default();
-    for record in rdr.records() {
-        let record = record?;
-        row.clear();
-        row.extend(record.iter().map(|cell| symbols.intern(cell)));
-        if observer.wants_rows() {
-            pre.clear();
-            pre.extend(row.iter().map(|s| s.0));
-            observer.row_observed(&pre);
-        }
-        let mut updates = repair_row_compiled(
-            rules,
-            program,
-            engine,
-            cache,
-            &mut scratch,
-            &mut row,
-            observer,
-        );
-        if !updates.is_empty() {
-            stats.rows_touched += 1;
-            stats.updates += updates.len();
-        }
-        for (k, u) in updates.iter_mut().enumerate() {
-            u.row = stats.rows;
-            observer.cell_repaired(u.as_fix(k));
-        }
-        stats.rows += 1;
-        observer.stream_record(symbols.len());
-        wtr.write_record(row.iter().map(|&s| symbols.resolve(s)))?;
-    }
-    wtr.flush()?;
-    Ok(stats)
-}
-
-/// Repair CSV records from `reader` to `writer` in batches of up to
-/// `batch_rows` records, using the columnar group-by-plan path: each
-/// batch is read into per-attribute columns, grouped by tuple signature,
-/// and each distinct signature runs the compiled engine (or probes
-/// `cache`) exactly once. Memory is bounded by `batch_rows × arity`
-/// cells plus the vocabulary; output CSV and fix stream are
-/// byte-identical to [`stream_repair_csv_compiled`] with the same
-/// engine.
-#[allow(clippy::too_many_arguments)]
-pub fn stream_repair_csv_columnar<R: Read, W: Write>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    symbols: &mut SymbolTable,
-    reader: R,
-    writer: W,
-    batch_rows: usize,
-) -> Result<(StreamStats, BatchStats), RelationError> {
-    stream_repair_csv_columnar_observed(
-        rules,
-        program,
-        engine,
-        cache,
-        symbols,
-        reader,
-        writer,
-        batch_rows,
-        &NoopObserver,
-    )
-}
-
-/// [`stream_repair_csv_columnar`] with observer hooks; same hook
-/// contract as [`stream_repair_csv_compiled_observed`] minus the
-/// per-member cache probes, plus one `batch_grouped` per non-empty
-/// batch. `row_observed` still fires per record at read time (before any
-/// rule fires), so a quality monitor sees the incoming distribution.
-#[allow(clippy::too_many_arguments)]
-pub fn stream_repair_csv_columnar_observed<R: Read, W: Write, O: RepairObserver>(
+pub fn stream_repair_csv<R: Read, W: Write, O: RepairObserver>(
     rules: &RuleSet,
     program: &RuleProgram,
     engine: CompiledEngine,
@@ -276,7 +78,6 @@ pub fn stream_repair_csv_columnar_observed<R: Read, W: Write, O: RepairObserver>
     let arity = schema.arity();
     let mut scratch = CompiledScratch::new(rules.len());
     let mut cols: Vec<Vec<Symbol>> = vec![Vec::with_capacity(batch_rows); arity];
-    let mut pre: Vec<u32> = Vec::with_capacity(arity);
     let mut stats = StreamStats::default();
     let mut batch_stats = BatchStats::default();
     let mut records = rdr.records();
@@ -290,11 +91,6 @@ pub fn stream_repair_csv_columnar_observed<R: Read, W: Write, O: RepairObserver>
             let record = record?;
             for (col, cell) in cols.iter_mut().zip(record.iter()) {
                 col.push(symbols.intern(cell));
-            }
-            if observer.wants_rows() {
-                pre.clear();
-                pre.extend(cols.iter().map(|c| c[n].0));
-                observer.row_observed(&pre);
             }
             n += 1;
         }
@@ -336,7 +132,8 @@ pub fn stream_repair_csv_columnar_observed<R: Read, W: Write, O: RepairObserver>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::linear::lrepair_tuple;
+    use crate::repair::linear::{lrepair_tuple, LRepairIndex, LRepairScratch};
+    use obs::NoopObserver;
     use relation::Schema;
 
     fn setup() -> (RuleSet, SymbolTable) {
@@ -371,12 +168,34 @@ Ian,China,Shanghai,Hongkong,ICDE
 Mike,Canada,Toronto,Toronto,VLDB
 ";
 
+    /// Stream `input` with the linear engine, unobserved.
+    fn stream(
+        rules: &RuleSet,
+        sy: &mut SymbolTable,
+        input: &str,
+        cache: Option<&PlanCache>,
+        batch_rows: usize,
+    ) -> Result<(Vec<u8>, StreamStats, BatchStats), RelationError> {
+        let program = RuleProgram::compile(rules);
+        let mut out = Vec::new();
+        let (stats, batch) = stream_repair_csv(
+            rules,
+            &program,
+            CompiledEngine::Linear,
+            cache,
+            sy,
+            input.as_bytes(),
+            &mut out,
+            batch_rows,
+            &NoopObserver,
+        )?;
+        Ok((out, stats, batch))
+    }
+
     #[test]
     fn streams_and_repairs() {
         let (rules, mut sy) = setup();
-        let index = LRepairIndex::build(&rules);
-        let mut out = Vec::new();
-        let stats = stream_repair_csv(&rules, &index, &mut sy, DIRTY.as_bytes(), &mut out).unwrap();
+        let (out, stats, _) = stream(&rules, &mut sy, DIRTY, None, 64).unwrap();
         assert_eq!(stats.rows, 3);
         assert_eq!(stats.updates, 2);
         assert_eq!(stats.rows_touched, 2);
@@ -387,57 +206,13 @@ Mike,Canada,Toronto,Toronto,VLDB
         assert!(text.contains("George,China,Beijing,Beijing,SIGMOD"));
     }
 
+    /// The stream reproduces `lRepair` record by record — cells, update
+    /// counts and touched rows — at every batch size, cached or not, and
+    /// its batch accounting ties out.
     #[test]
     fn streaming_matches_table_repair() {
         let (rules, mut sy) = setup();
         let index = LRepairIndex::build(&rules);
-        // Table path.
-        let mut table = relation::csv_io::read_csv(DIRTY.as_bytes(), "Travel", &mut sy).unwrap();
-        // The loaded table has its own schema instance; re-align by
-        // repairing the rows directly.
-        let mut scratch = LRepairScratch::new(rules.len());
-        for i in 0..table.len() {
-            lrepair_tuple(&rules, &index, &mut scratch, table.row_mut(i));
-        }
-        // Stream path.
-        let mut out = Vec::new();
-        stream_repair_csv(&rules, &index, &mut sy, DIRTY.as_bytes(), &mut out).unwrap();
-        let mut sy2 = SymbolTable::new();
-        let streamed = relation::csv_io::read_csv(out.as_slice(), "Travel", &mut sy2).unwrap();
-        for i in 0..table.len() {
-            assert_eq!(table.row_strs(&sy, i), streamed.row_strs(&sy2, i));
-        }
-    }
-
-    #[test]
-    fn compiled_stream_matches_uncached_stream() {
-        let (rules, mut sy) = setup();
-        let index = LRepairIndex::build(&rules);
-        let program = RuleProgram::compile(&rules);
-        let mut plain = Vec::new();
-        let plain_stats =
-            stream_repair_csv(&rules, &index, &mut sy, DIRTY.as_bytes(), &mut plain).unwrap();
-        for cache in [None, Some(PlanCache::bounded_lru(64))] {
-            let mut out = Vec::new();
-            let stats = stream_repair_csv_compiled(
-                &rules,
-                &program,
-                CompiledEngine::Linear,
-                cache.as_ref(),
-                &mut sy,
-                DIRTY.as_bytes(),
-                &mut out,
-            )
-            .unwrap();
-            assert_eq!(stats, plain_stats);
-            assert_eq!(out, plain, "CSV output must be byte-identical");
-        }
-    }
-
-    #[test]
-    fn columnar_stream_matches_compiled_stream() {
-        let (rules, mut sy) = setup();
-        let program = RuleProgram::compile(&rules);
         // Duplicate the dirty body so batches cross group boundaries.
         let mut input = String::from("name,country,capital,city,conf\n");
         for _ in 0..4 {
@@ -446,33 +221,30 @@ Mike,Canada,Toronto,Toronto,VLDB
                 input.push('\n');
             }
         }
+        // Oracle: lRepair tuple by tuple over the materialized table.
+        let mut table = relation::csv_io::read_csv(input.as_bytes(), "Travel", &mut sy).unwrap();
+        let mut scratch = LRepairScratch::new(rules.len());
+        let mut expected = StreamStats {
+            rows: table.len(),
+            ..StreamStats::default()
+        };
+        for i in 0..table.len() {
+            let updates = lrepair_tuple(&rules, &index, &mut scratch, table.row_mut(i));
+            expected.updates += updates.len();
+            expected.rows_touched += usize::from(!updates.is_empty());
+        }
         let mut reference = Vec::new();
-        let ref_stats = stream_repair_csv_compiled(
-            &rules,
-            &program,
-            CompiledEngine::Chase,
-            None,
-            &mut sy,
-            input.as_bytes(),
-            &mut reference,
-        )
-        .unwrap();
-        for batch_rows in [1, 2, 5, 64] {
-            for cache in [None, Some(PlanCache::unbounded())] {
-                let mut out = Vec::new();
-                let (stats, batch) = stream_repair_csv_columnar(
-                    &rules,
-                    &program,
-                    CompiledEngine::Chase,
-                    cache.as_ref(),
-                    &mut sy,
-                    input.as_bytes(),
-                    &mut out,
-                    batch_rows,
-                )
-                .unwrap();
-                assert_eq!(stats, ref_stats);
-                assert_eq!(out, reference, "CSV output must be byte-identical");
+        relation::csv_io::write_csv(&mut reference, &table, &sy).unwrap();
+        for batch_rows in [1, 2, 7] {
+            for cache in [None, Some(PlanCache::bounded_lru(64))] {
+                let (out, stats, batch) =
+                    stream(&rules, &mut sy, &input, cache.as_ref(), batch_rows).unwrap();
+                assert_eq!(stats, expected, "batch_rows={batch_rows}");
+                assert_eq!(
+                    String::from_utf8(out).unwrap(),
+                    String::from_utf8(reference.clone()).unwrap(),
+                    "batch_rows={batch_rows}: CSV output must match lRepair"
+                );
                 assert_eq!(batch.rows, 12);
                 assert_eq!(batch.scattered, 12 - batch.groups);
                 if let Some(cache) = &cache {
@@ -483,13 +255,114 @@ Mike,Canada,Toronto,Toronto,VLDB
         }
     }
 
+    /// The plan cache is invisible in the output: a cached stream writes
+    /// the same bytes and reports the same stats as an uncached one, for
+    /// both engine flavors.
+    #[test]
+    fn compiled_stream_matches_uncached_stream() {
+        let (rules, mut sy) = setup();
+        let program = RuleProgram::compile(&rules);
+        for engine in [CompiledEngine::Chase, CompiledEngine::Linear] {
+            let mut plain = Vec::new();
+            let (plain_stats, _) = stream_repair_csv(
+                &rules,
+                &program,
+                engine,
+                None,
+                &mut sy,
+                DIRTY.as_bytes(),
+                &mut plain,
+                64,
+                &NoopObserver,
+            )
+            .unwrap();
+            let cache = PlanCache::bounded_lru(64);
+            let mut out = Vec::new();
+            let (stats, _) = stream_repair_csv(
+                &rules,
+                &program,
+                engine,
+                Some(&cache),
+                &mut sy,
+                DIRTY.as_bytes(),
+                &mut out,
+                64,
+                &NoopObserver,
+            )
+            .unwrap();
+            assert_eq!(stats, plain_stats, "{engine:?}");
+            assert_eq!(out, plain, "{engine:?}: CSV output must be byte-identical");
+            assert_eq!(cache.stats().misses, 3, "three distinct signatures");
+        }
+    }
+
+    /// The batched columnar stream writes what the compiled engine run
+    /// record by record ([`run_engine`]) produces, at every batch size.
+    #[test]
+    fn columnar_stream_matches_compiled_stream() {
+        use crate::repair::compile::run_engine;
+        let (rules, mut sy) = setup();
+        let program = RuleProgram::compile(&rules);
+        // Duplicate the dirty body so batches cross group boundaries.
+        let mut input = String::from("name,country,capital,city,conf\n");
+        for _ in 0..4 {
+            for line in DIRTY.lines().skip(1) {
+                input.push_str(line);
+                input.push('\n');
+            }
+        }
+        // Reference: the chase-flavor engine, one record at a time.
+        let mut table = relation::csv_io::read_csv(input.as_bytes(), "Travel", &mut sy).unwrap();
+        let mut scratch = CompiledScratch::new(rules.len());
+        let mut ref_stats = StreamStats {
+            rows: table.len(),
+            ..StreamStats::default()
+        };
+        for i in 0..table.len() {
+            let (updates, _) = run_engine(
+                &rules,
+                &program,
+                CompiledEngine::Chase,
+                &mut scratch,
+                table.row_mut(i),
+                &NoopObserver,
+            );
+            ref_stats.updates += updates.len();
+            ref_stats.rows_touched += usize::from(!updates.is_empty());
+        }
+        let mut reference = Vec::new();
+        relation::csv_io::write_csv(&mut reference, &table, &sy).unwrap();
+        for batch_rows in [1, 2, 5, 64] {
+            let mut out = Vec::new();
+            let (stats, batch) = stream_repair_csv(
+                &rules,
+                &program,
+                CompiledEngine::Chase,
+                None,
+                &mut sy,
+                input.as_bytes(),
+                &mut out,
+                batch_rows,
+                &NoopObserver,
+            )
+            .unwrap();
+            assert_eq!(stats, ref_stats, "batch_rows={batch_rows}");
+            assert_eq!(
+                out, reference,
+                "batch_rows={batch_rows}: CSV must be byte-identical"
+            );
+            assert_eq!(batch.rows, 12);
+            assert_eq!(batch.scattered, 12 - batch.groups);
+        }
+    }
+
     #[test]
     fn lru_eviction_and_re_miss_yield_correct_plans() {
         let (rules, mut sy) = setup();
-        let program = RuleProgram::compile(&rules);
-        // Two dirty signatures alternating: a capacity-1 cache thrashes —
-        // every lookup after the first evicts the other signature's plan —
-        // yet each re-miss must re-plan correctly.
+        // Two dirty signatures alternating, one record per batch: a
+        // capacity-1 cache thrashes — every lookup after the first evicts
+        // the other signature's plan — yet each re-miss must re-plan
+        // correctly.
         let mut input = String::from("name,country,capital,city,conf\n");
         for i in 0..6 {
             if i % 2 == 0 {
@@ -499,17 +372,7 @@ Mike,Canada,Toronto,Toronto,VLDB
             }
         }
         let cache = PlanCache::bounded_lru(1);
-        let mut out = Vec::new();
-        let stats = stream_repair_csv_compiled(
-            &rules,
-            &program,
-            CompiledEngine::Linear,
-            Some(&cache),
-            &mut sy,
-            input.as_bytes(),
-            &mut out,
-        )
-        .unwrap();
+        let (out, stats, _) = stream(&rules, &mut sy, &input, Some(&cache), 1).unwrap();
         assert_eq!(stats.rows, 6);
         assert_eq!(stats.updates, 6, "every row repaired despite thrashing");
         let text = String::from_utf8(out).unwrap();
@@ -522,20 +385,25 @@ Mike,Canada,Toronto,Toronto,VLDB
         assert_eq!(cs.entries, 1);
     }
 
+    /// A batch larger than the quality window: every repair must still
+    /// land in the window that observed its record.
     #[test]
     fn quality_monitor_watches_the_stream() {
         use obs::{QualityConfig, QualityMonitor};
         let (rules, mut sy) = setup();
-        let index = LRepairIndex::build(&rules);
+        let program = RuleProgram::compile(&rules);
         let names: Vec<String> = rules.schema().attr_names().map(str::to_string).collect();
         let monitor = QualityMonitor::new(QualityConfig::with_window(2), names);
         let mut out = Vec::new();
-        stream_repair_csv_observed(
+        stream_repair_csv(
             &rules,
-            &index,
+            &program,
+            CompiledEngine::Linear,
+            None,
             &mut sy,
             DIRTY.as_bytes(),
             &mut out,
+            1024,
             &monitor,
         )
         .unwrap();
@@ -557,31 +425,23 @@ Mike,Canada,Toronto,Toronto,VLDB
     #[test]
     fn header_mismatch_rejected() {
         let (rules, mut sy) = setup();
-        let index = LRepairIndex::build(&rules);
-        let bad = "a,b,c\n1,2,3\n";
-        let mut out = Vec::new();
-        let err = stream_repair_csv(&rules, &index, &mut sy, bad.as_bytes(), &mut out).unwrap_err();
+        let err = stream(&rules, &mut sy, "a,b,c\n1,2,3\n", None, 64).unwrap_err();
         assert!(err.to_string().contains("does not match"));
     }
 
     #[test]
     fn header_order_matters() {
         let (rules, mut sy) = setup();
-        let index = LRepairIndex::build(&rules);
         let reordered = "country,name,capital,city,conf\nChina,Ian,Shanghai,x,c\n";
-        let mut out = Vec::new();
-        assert!(
-            stream_repair_csv(&rules, &index, &mut sy, reordered.as_bytes(), &mut out).is_err()
-        );
+        assert!(stream(&rules, &mut sy, reordered, None, 64).is_err());
     }
 
     #[test]
     fn empty_body_is_fine() {
         let (rules, mut sy) = setup();
-        let index = LRepairIndex::build(&rules);
         let empty = "name,country,capital,city,conf\n";
-        let mut out = Vec::new();
-        let stats = stream_repair_csv(&rules, &index, &mut sy, empty.as_bytes(), &mut out).unwrap();
+        let (_, stats, batch) = stream(&rules, &mut sy, empty, None, 64).unwrap();
         assert_eq!(stats, StreamStats::default());
+        assert_eq!(batch, BatchStats::default());
     }
 }

@@ -17,13 +17,13 @@ use fixrules::consistency::resolve::{ensure_consistent, Strategy as ResolveStrat
 use fixrules::consistency::{is_consistent_characterize, is_consistent_parallel};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
 use fixrules::repair::{
-    columnar_table_observed, compiled_table_observed, crepair_table_observed, crepair_tuple,
-    lrepair_table_observed, lrepair_tuple, par_columnar_table_observed,
-    par_compiled_table_observed, par_lrepair_table, CompiledEngine, LRepairIndex, LRepairScratch,
-    PlanCache, RuleProgram,
+    columnar_table_observed, crepair_table_observed, crepair_tuple, lrepair_table_observed,
+    lrepair_tuple, par_columnar_table_observed, run_engine, CellUpdate, CompiledEngine,
+    CompiledScratch, LRepairIndex, LRepairScratch, PlanCache, RuleProgram,
 };
 use fixrules::semantics::{all_fixes, is_fixpoint};
 use fixrules::{FixingRule, RuleSet};
+use obs::RepairObserver;
 use relation::{AttrId, AttrSet, ColumnTable, Schema, Symbol, Table};
 
 const ARITY: usize = 5;
@@ -184,7 +184,7 @@ proptest! {
     }
 
     /// lRepair on a full table equals per-tuple cRepair, and the parallel
-    /// driver equals the sequential one.
+    /// driver equals both.
     #[test]
     fn table_drivers_agree(rs in rulesets(),
                            rows in proptest::collection::vec(tuples(), 1..24)) {
@@ -200,8 +200,11 @@ proptest! {
         fixrules::repair::crepair_table(&rs, &mut by_c);
         let mut by_l = table.clone();
         fixrules::repair::lrepair_table(&rs, &index, &mut by_l);
-        let mut by_p = table.clone();
-        par_lrepair_table(&rs, &index, &mut by_p, 3);
+        let mut cols = ColumnTable::from(&table);
+        let program = RuleProgram::compile(&rs);
+        par_columnar_table_observed(
+            &rs, &program, CompiledEngine::Linear, None, &mut cols, 3, &obs::NoopObserver);
+        let by_p = cols.to_table();
         prop_assert_eq!(by_c.diff_cells(&by_l).unwrap(), 0);
         prop_assert_eq!(by_c.diff_cells(&by_p).unwrap(), 0);
     }
@@ -221,12 +224,12 @@ proptest! {
         prop_assert!(is_fixpoint(rs.rules().iter(), &fixed, assured));
     }
 
-    /// The compiled engines are drop-in replacements: on random consistent
-    /// rule sets, `compiled(Chase)` reproduces `cRepair`'s provenance
-    /// ledger byte for byte and `compiled(Linear)` reproduces `lRepair`'s —
-    /// including the engine-specific `round` stamps — for every combination
-    /// of plan cache (off / on) and worker count (1 / 4), along with the
-    /// final table.
+    /// The compiled engines behind every production driver, run one tuple
+    /// at a time through the single-tuple entry point [`run_engine`]: on
+    /// random consistent rule sets the chase flavor reproduces `cRepair`'s
+    /// provenance ledger byte for byte and the linear flavor `lRepair`'s —
+    /// including the engine-specific `round` stamps — along with the final
+    /// table.
     #[test]
     fn compiled_engines_reproduce_ledgers(rs in rulesets(),
                                           rows in proptest::collection::vec(tuples(), 1..24)) {
@@ -238,7 +241,59 @@ proptest! {
         for r in &rows {
             table0.push_row(r).unwrap();
         }
-        // References: the uncached sequential drivers.
+        let mut chase_table = table0.clone();
+        let chase_ledger = ProvenanceLedger::new();
+        crepair_table_observed(
+            &rs, &mut chase_table, &ProvenanceObserver::new(&rs, &chase_ledger));
+        let mut linear_table = table0.clone();
+        let linear_ledger = ProvenanceLedger::new();
+        lrepair_table_observed(
+            &rs, &index, &mut linear_table, &ProvenanceObserver::new(&rs, &linear_ledger));
+
+        for (engine, ref_table, ref_ledger) in [
+            (CompiledEngine::Chase, &chase_table, &chase_ledger),
+            (CompiledEngine::Linear, &linear_table, &linear_ledger),
+        ] {
+            let mut t = table0.clone();
+            let ledger = ProvenanceLedger::new();
+            let obs = ProvenanceObserver::new(&rs, &ledger);
+            let mut scratch = CompiledScratch::new(rs.len());
+            for i in 0..t.len() {
+                let (updates, _) =
+                    run_engine(&rs, &program, engine, &mut scratch, t.row_mut(i), &obs);
+                for (ordinal, u) in updates.iter().enumerate() {
+                    let u = CellUpdate { row: i, ..*u };
+                    obs.cell_repaired(u.as_fix(ordinal));
+                }
+            }
+            prop_assert_eq!(ref_table.diff_cells(&t).unwrap(), 0,
+                "{:?}: tables diverged", engine);
+            prop_assert_eq!(ledger.records(), ref_ledger.records(),
+                "{:?}: ledgers diverged", engine);
+        }
+    }
+
+    /// The grouped columnar drivers are drop-in replacements for the
+    /// paper's algorithms: on random consistent rule sets the chase flavor
+    /// reproduces `cRepair`'s provenance ledger byte for byte and the
+    /// linear flavor `lRepair`'s — including the engine-specific `round`
+    /// stamps — for every combination of plan cache (off / on) and worker
+    /// count (1 / 4), along with the final table. The rows are sent
+    /// twice, so every signature has a member that replays its group's
+    /// plan. Batch accounting must always tie out: every row is either a
+    /// group representative or scattered.
+    #[test]
+    fn columnar_drivers_reproduce_ledgers(rs in rulesets(),
+                                          rows in proptest::collection::vec(tuples(), 1..24)) {
+        let mut rs = rs;
+        ensure_consistent(&mut rs, ResolveStrategy::ShrinkNegatives);
+        let program = RuleProgram::compile(&rs);
+        let index = LRepairIndex::build(&rs);
+        let mut table0 = Table::new(rs.schema().clone());
+        for r in rows.iter().chain(&rows) {
+            table0.push_row(r).unwrap();
+        }
+        // References: the paper's algorithms, uncached and sequential.
         let mut chase_table = table0.clone();
         let chase_ledger = ProvenanceLedger::new();
         crepair_table_observed(
@@ -261,56 +316,6 @@ proptest! {
                     } else {
                         PlanCache::unbounded()
                     });
-                    let mut t = table0.clone();
-                    let ledger = ProvenanceLedger::new();
-                    let obs = ProvenanceObserver::new(&rs, &ledger);
-                    if threads > 1 {
-                        par_compiled_table_observed(
-                            &rs, &program, engine, cache.as_ref(), &mut t, threads, &obs);
-                    } else {
-                        compiled_table_observed(
-                            &rs, &program, engine, cache.as_ref(), &mut t, &obs);
-                    }
-                    prop_assert_eq!(ref_table.diff_cells(&t).unwrap(), 0,
-                        "{:?} cached={} threads={}: tables diverged", engine, cached, threads);
-                    prop_assert_eq!(&ledger.records(), ref_records,
-                        "{:?} cached={} threads={}: ledgers diverged", engine, cached, threads);
-                }
-            }
-        }
-    }
-
-    /// The columnar group-by-plan drivers are drop-in replacements for the
-    /// row-at-a-time compiled drivers: identical final table and identical
-    /// provenance ledger — byte for byte, `round` stamps included — for
-    /// both engines, with and without a plan cache, sequential and
-    /// sharded across workers. Batch accounting must always tie out:
-    /// every row is either a group representative or scattered.
-    #[test]
-    fn columnar_drivers_reproduce_ledgers(rs in rulesets(),
-                                          rows in proptest::collection::vec(tuples(), 1..24)) {
-        let mut rs = rs;
-        ensure_consistent(&mut rs, ResolveStrategy::ShrinkNegatives);
-        let program = RuleProgram::compile(&rs);
-        let mut table0 = Table::new(rs.schema().clone());
-        for r in &rows {
-            table0.push_row(r).unwrap();
-        }
-        for engine in [CompiledEngine::Chase, CompiledEngine::Linear] {
-            // Reference: the row-at-a-time compiled driver, uncached.
-            let mut ref_table = table0.clone();
-            let ref_ledger = ProvenanceLedger::new();
-            compiled_table_observed(
-                &rs, &program, engine, None, &mut ref_table,
-                &ProvenanceObserver::new(&rs, &ref_ledger));
-            let ref_records = ref_ledger.records();
-            for threads in [1usize, 4] {
-                for cached in [false, true] {
-                    let cache = cached.then(|| if threads > 1 {
-                        PlanCache::sharded(4)
-                    } else {
-                        PlanCache::unbounded()
-                    });
                     let mut cols = ColumnTable::from(&table0);
                     let ledger = ProvenanceLedger::new();
                     let obs = ProvenanceObserver::new(&rs, &ledger);
@@ -324,9 +329,9 @@ proptest! {
                     let t = cols.to_table();
                     prop_assert_eq!(ref_table.diff_cells(&t).unwrap(), 0,
                         "{:?} cached={} threads={}: tables diverged", engine, cached, threads);
-                    prop_assert_eq!(&ledger.records(), &ref_records,
+                    prop_assert_eq!(&ledger.records(), ref_records,
                         "{:?} cached={} threads={}: ledgers diverged", engine, cached, threads);
-                    prop_assert_eq!(batch.rows, rows.len());
+                    prop_assert_eq!(batch.rows, 2 * rows.len());
                     prop_assert_eq!(batch.rows, batch.groups + batch.scattered,
                         "{:?} cached={} threads={}: batch accounting", engine, cached, threads);
                 }

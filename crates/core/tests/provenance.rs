@@ -5,12 +5,12 @@
 
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
 use fixrules::repair::{
-    crepair_table_observed, lrepair_table_observed, par_lrepair_table_observed,
-    stream_repair_csv_observed, LRepairIndex,
+    crepair_table_observed, lrepair_table_observed, par_columnar_table_observed, stream_repair_csv,
+    CompiledEngine, LRepairIndex, PlanCache, RuleProgram,
 };
 use fixrules::RuleSet;
 use obs::{MetricsObserver, MetricsRegistry, Tee};
-use relation::{Schema, SymbolTable, Table};
+use relation::{ColumnTable, Schema, SymbolTable, Table};
 
 fn schema() -> Schema {
     Schema::new("Travel", ["name", "country", "capital", "city", "conf"]).unwrap()
@@ -151,10 +151,21 @@ fn parallel_ledger_matches_sequential_canonical_order() {
     let seq_obs = ProvenanceObserver::new(&rules, &seq_ledger);
     let so = lrepair_table_observed(&rules, &index, &mut seq, &seq_obs);
 
-    let mut par = dirty.clone();
+    let program = RuleProgram::compile(&rules);
+    let cache = PlanCache::sharded(16);
+    let mut cols = ColumnTable::from(&dirty);
     let par_ledger = ProvenanceLedger::new();
     let par_obs = ProvenanceObserver::new(&rules, &par_ledger);
-    let po = par_lrepair_table_observed(&rules, &index, &mut par, 4, &par_obs);
+    let (po, _) = par_columnar_table_observed(
+        &rules,
+        &program,
+        CompiledEngine::Linear,
+        Some(&cache),
+        &mut cols,
+        4,
+        &par_obs,
+    );
+    let par = cols.to_table();
 
     assert_eq!(so.total_updates(), po.total_updates());
     // Records arrive worker-interleaved but the canonical (row, ordinal)
@@ -167,7 +178,7 @@ fn parallel_ledger_matches_sequential_canonical_order() {
 fn stream_ledger_replays_against_materialized_table() {
     let mut sy = SymbolTable::new();
     let rules = fig8_rules(&mut sy);
-    let index = LRepairIndex::build(&rules);
+    let program = RuleProgram::compile(&rules);
     let csv = fig1_csv();
     // Materialize dirty/repaired views over the *same* symbol table the
     // stream driver interns into, so ledger symbols align.
@@ -175,9 +186,18 @@ fn stream_ledger_replays_against_materialized_table() {
     let ledger = ProvenanceLedger::new();
     let observer = ProvenanceObserver::new(&rules, &ledger);
     let mut out = Vec::new();
-    let stats =
-        stream_repair_csv_observed(&rules, &index, &mut sy, csv.as_bytes(), &mut out, &observer)
-            .unwrap();
+    let (stats, _) = stream_repair_csv(
+        &rules,
+        &program,
+        CompiledEngine::Linear,
+        None,
+        &mut sy,
+        csv.as_bytes(),
+        &mut out,
+        2,
+        &observer,
+    )
+    .unwrap();
     assert_eq!(stats.updates, 4);
     let mut repaired = Table::new(rules.schema().clone());
     let streamed = String::from_utf8(out).unwrap();

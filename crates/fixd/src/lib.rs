@@ -9,9 +9,11 @@
 //! [`obs::http`]):
 //!
 //! * rules are parsed, linted, and compiled **once** into a
-//!   [`RuleProgram`]; every request repairs against the same program and
-//!   one shared warm [`PlanCache`], so duplicate dirty signatures across
-//!   requests replay memoized plans instead of re-running the chase;
+//!   [`RuleProgram`]; every batch (`/repair`, `/check`, `--warm`) is
+//!   repaired as one grouped columnar batch ([`repair_columns_grouped`])
+//!   against the same program and one shared warm [`PlanCache`], so
+//!   duplicate dirty signatures within and across requests replay
+//!   memoized plans instead of re-running the chase;
 //! * every request gets a **trace id** (`X-Trace-Id` response header) and
 //!   a span scope in a global [`TraceJournal`]; `GET /trace/{id}` replays
 //!   the request's records as JSONL (or `?format=chrome` for
@@ -93,8 +95,7 @@ use std::time::{Duration, Instant};
 use fixrules::io::{infer_schema, parse_rules_spanned};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
 use fixrules::repair::{
-    repair_columns_grouped, repair_row_compiled, CompiledEngine, CompiledScratch, PlanCache,
-    RuleProgram,
+    repair_columns_grouped, CellUpdate, CompiledEngine, CompiledScratch, PlanCache, RuleProgram,
 };
 use fixrules::RuleSet;
 use obs::http::{Request, Response};
@@ -498,30 +499,53 @@ impl Daemon {
     }
 }
 
-/// Repair every row of `path` once so its tuple signatures are memoized
-/// before the first request. Deliberately invisible: no provenance, no
-/// request metrics, no global row ids consumed.
 fn plan_cache<'a>(state: &DaemonState, bundle: &'a ProgramBundle) -> Option<&'a PlanCache> {
     state.use_cache.then_some(&bundle.cache)
 }
 
+/// The row→column batch step every repairing endpoint shares: transpose
+/// `rows` (daemon-schema order) into columns and repair them as one
+/// grouped batch against `bundle`, leaving `rows` untouched. Returns the
+/// updates in `(row, application order)`, rows re-indexed from
+/// `base_row`.
+fn repair_batch<O: RepairObserver>(
+    state: &DaemonState,
+    bundle: &ProgramBundle,
+    scratch: &mut CompiledScratch,
+    rows: &[Vec<Symbol>],
+    base_row: usize,
+    observer: &O,
+) -> Vec<CellUpdate> {
+    let mut cols: Vec<Vec<Symbol>> = vec![Vec::with_capacity(rows.len()); state.schema.arity()];
+    for row in rows {
+        for (col, &sym) in cols.iter_mut().zip(row.iter()) {
+            col.push(sym);
+        }
+    }
+    let mut col_slices: Vec<&mut [Symbol]> = cols.iter_mut().map(|c| c.as_mut_slice()).collect();
+    let (updates, _batch) = repair_columns_grouped(
+        &bundle.rules,
+        &bundle.program,
+        state.engine,
+        plan_cache(state, bundle),
+        scratch,
+        &mut col_slices,
+        base_row,
+        observer,
+    );
+    updates
+}
+
+/// Repair every row of `path` once so its tuple signatures are memoized
+/// before the first request. Deliberately invisible: no provenance, no
+/// request metrics, no global row ids consumed.
 fn warm_cache(state: &DaemonState, path: &str) -> Result<usize, SrvError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| SrvError::new(400, format!("reading {path}: {e}")))?;
-    let mut rows = parse_csv_rows(state, &text)?;
+    let rows = parse_csv_rows(state, &text)?;
     let bundle = state.bundle();
     let mut scratch = CompiledScratch::new(bundle.rules.len());
-    for row in &mut rows {
-        repair_row_compiled(
-            &bundle.rules,
-            &bundle.program,
-            state.engine,
-            plan_cache(state, &bundle),
-            &mut scratch,
-            row,
-            &obs::NoopObserver,
-        );
-    }
+    repair_batch(state, &bundle, &mut scratch, &rows, 0, &obs::NoopObserver);
     Ok(rows.len())
 }
 
@@ -850,32 +874,14 @@ fn handle_repair(
     let repair_started = Instant::now();
     let all_updates = {
         let repair_span = state.journal.span("repair", span.id());
-        // Column-major copy of the batch for the group-by-plan core;
         // `rows` keeps the pre-repair values until the quality replay
         // below has scored the incoming distribution.
-        let mut cols: Vec<Vec<Symbol>> = vec![Vec::with_capacity(rows.len()); state.schema.arity()];
-        for row in &rows {
-            for (col, &sym) in cols.iter_mut().zip(row.iter()) {
-                col.push(sym);
-            }
-        }
-        let mut col_slices: Vec<&mut [Symbol]> =
-            cols.iter_mut().map(|c| c.as_mut_slice()).collect();
-        let (all_updates, _batch) = repair_columns_grouped(
-            &bundle.rules,
-            &bundle.program,
-            state.engine,
-            plan_cache(state, &bundle),
-            scratch,
-            &mut col_slices,
-            row_base,
-            &observer,
-        );
+        let all_updates = repair_batch(state, &bundle, scratch, &rows, row_base, &observer);
         // Replay the fix stream per row for the quality monitor, which
         // attributes repairs to the window that observed the row — so
         // each row's `row_observed` (on the *incoming* values) must
-        // immediately precede its `cell_repaired`s, exactly as in the
-        // row-at-a-time loop.
+        // immediately precede its `cell_repaired`s, exactly as the grouped
+        // core emits them to a monitor that wants rows.
         let mut pre: Vec<u32> = Vec::with_capacity(state.schema.arity());
         let mut cursor = 0usize;
         for (i, row) in rows.iter().enumerate() {
@@ -1024,27 +1030,16 @@ fn handle_check(
             ("trace_id", Json::from(trace_id.as_str())),
         ]),
     );
-    let mut rows = parse_rows(state, request)?;
+    let rows = parse_rows(state, request)?;
     let bundle = state.bundle();
-    let mut per_row = Vec::with_capacity(rows.len());
-    let mut dirty_rows = 0usize;
-    let mut total_updates = 0usize;
-    for row in rows.iter_mut() {
-        let updates = repair_row_compiled(
-            &bundle.rules,
-            &bundle.program,
-            state.engine,
-            plan_cache(state, &bundle),
-            scratch,
-            row,
-            &obs::NoopObserver,
-        );
-        if !updates.is_empty() {
-            dirty_rows += 1;
-            total_updates += updates.len();
-        }
-        per_row.push(Json::from(updates.len()));
+    let updates = repair_batch(state, &bundle, scratch, &rows, 0, &obs::NoopObserver);
+    let mut counts = vec![0usize; rows.len()];
+    for update in &updates {
+        counts[update.row] += 1;
     }
+    let dirty_rows = counts.iter().filter(|&&n| n > 0).count();
+    let total_updates = updates.len();
+    let per_row: Vec<Json> = counts.into_iter().map(Json::from).collect();
     state.journal.event(
         "request.end",
         span.id(),

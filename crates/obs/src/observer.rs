@@ -66,7 +66,7 @@ pub trait RepairObserver: Sync {
     /// The default replays [`RepairObserver::tuple_done`] `count` times, so
     /// per-tuple observers see the same call multiset (batched calls are
     /// flushed per batch, so ordering relative to other hooks may differ
-    /// from the row-at-a-time drivers; final aggregates do not).
+    /// from the `cRepair`/`lRepair` oracles; final aggregates do not).
     #[inline]
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
         for _ in 0..count {
@@ -105,14 +105,14 @@ pub trait RepairObserver: Sync {
         let _ = vocab;
     }
 
-    /// A compiled driver probed one evidence-group dispatch table and found
+    /// The compiled engine probed one evidence-group dispatch table and found
     /// `rules_hit` matching rules.
     #[inline]
     fn plan_probe(&self, rules_hit: usize) {
         let _ = rules_hit;
     }
 
-    /// A compiled driver looked a tuple signature up in the plan cache.
+    /// The grouped core looked a tuple signature up in the plan cache.
     #[inline]
     fn plan_cache_lookup(&self, hit: bool) {
         let _ = hit;

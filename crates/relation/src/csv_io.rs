@@ -61,6 +61,17 @@ pub fn read_csv_file<P: AsRef<Path>>(
     read_csv(file, relation_name, symbols)
 }
 
+/// Read only the header row of a CSV file, as a schema named
+/// `relation_name` — what a streaming consumer needs before its first
+/// record, without reading (or interning) the body.
+pub fn read_csv_schema<P: AsRef<Path>>(path: P, relation_name: &str) -> Result<Schema> {
+    let mut rdr = csv::ReaderBuilder::new()
+        .has_headers(true)
+        .from_reader(File::open(path)?);
+    let headers = rdr.headers()?.clone();
+    Schema::new(relation_name, headers.iter())
+}
+
 /// Write a table as CSV with a header row.
 pub fn write_csv<W: Write>(writer: W, table: &Table, symbols: &SymbolTable) -> Result<()> {
     let mut wtr = csv::Writer::from_writer(writer);
@@ -113,6 +124,16 @@ mod tests {
         let bad = "a,b\n1\n";
         let mut sy = SymbolTable::new();
         assert!(read_csv(bad.as_bytes(), "R", &mut sy).is_err());
+    }
+
+    #[test]
+    fn schema_read_stops_at_the_header() {
+        let path = std::env::temp_dir().join(format!("csv_schema_{}.csv", std::process::id()));
+        std::fs::write(&path, "a,b,c\n1,2,3\nragged\n").unwrap();
+        let schema = read_csv_schema(&path, "R").unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(schema.name(), "R");
+        assert_eq!(schema.attr_names().collect::<Vec<_>>(), ["a", "b", "c"]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Generates an FD-consistent hosp table, injects 10% noise (half typos,
 //! half active-domain errors), runs the full §7.1 rule-generation pipeline,
-//! repairs with sequential and parallel `lRepair`, and reports
+//! repairs with the parallel grouped columnar driver, and reports
 //! precision/recall against the ground truth. Optionally dumps the dirty
 //! and repaired tables as CSV.
 //!
@@ -15,7 +15,8 @@ use std::time::Instant;
 use datagen::noise::{inject, NoiseConfig};
 use eval::rules::{build_ruleset, RuleGenConfig};
 use eval::score;
-use fixrules::repair::{par_lrepair_table, LRepairIndex};
+use fixrules::repair::{par_columnar_table_observed, CompiledEngine, PlanCache, RuleProgram};
+use relation::ColumnTable;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -69,12 +70,22 @@ fn main() {
     );
 
     let t1 = Instant::now();
-    let index = LRepairIndex::build(&rules);
+    let program = RuleProgram::compile(&rules);
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let mut repaired = dirty.clone();
-    let outcome = par_lrepair_table(&rules, &index, &mut repaired, threads);
+    let cache = PlanCache::sharded(threads * 4);
+    let mut columns = ColumnTable::from(&dirty);
+    let (outcome, _) = par_columnar_table_observed(
+        &rules,
+        &program,
+        CompiledEngine::Linear,
+        Some(&cache),
+        &mut columns,
+        threads,
+        &obs::NoopObserver,
+    );
+    let repaired = columns.to_table();
     println!(
-        "lRepair({} threads): {} updates on {} rows in {:.1?}",
+        "columnar({} threads): {} updates on {} rows in {:.1?}",
         threads,
         outcome.total_updates(),
         outcome.rows_touched(),

@@ -14,7 +14,7 @@ use std::time::Instant;
 use datagen::noise::{inject, NoiseConfig};
 use eval::rules::{build_ruleset, RuleGenConfig};
 use fixrules::io::parse_rules;
-use fixrules::repair::{stream_repair_csv, LRepairIndex};
+use fixrules::repair::{stream_repair_csv, CompiledEngine, PlanCache, RuleProgram};
 use relation::SymbolTable;
 
 fn main() {
@@ -69,12 +69,13 @@ fn main() {
     // 2. Stream-repair the file as an independent consumer: fresh interner,
     // schema from the CSV header, rules parsed from the rule file.
     let mut symbols = SymbolTable::new();
-    let header_table =
-        relation::csv_io::read_csv_file(&dirty_path, "uis", &mut symbols).expect("read header");
+    let schema = relation::csv_io::read_csv_schema(&dirty_path, "uis").expect("read header");
     let text = std::fs::read_to_string(&rules_path).expect("read rules");
-    let rules = parse_rules(&text, header_table.schema(), &mut symbols).expect("parse rules");
+    let rules = parse_rules(&text, &schema, &mut symbols).expect("parse rules");
     assert!(rules.check_consistency().is_consistent());
-    let index = LRepairIndex::build(&rules);
+    let program = RuleProgram::compile(&rules);
+    // A stream has no end in sight, so the plan memo is a bounded LRU.
+    let cache = PlanCache::bounded_lru(4096);
 
     let repaired_path = dir.join("uis_repaired.csv");
     let reader = std::fs::File::open(&dirty_path).expect("open dirty csv");
@@ -82,8 +83,18 @@ fn main() {
         std::fs::File::create(&repaired_path).expect("create repaired csv"),
     );
     let t0 = Instant::now();
-    let stats =
-        stream_repair_csv(&rules, &index, &mut symbols, reader, writer).expect("stream repair");
+    let (stats, _) = stream_repair_csv(
+        &rules,
+        &program,
+        CompiledEngine::Linear,
+        Some(&cache),
+        &mut symbols,
+        reader,
+        writer,
+        1024,
+        &obs::NoopObserver,
+    )
+    .expect("stream repair");
     println!(
         "streamed {} rows in {:.1?}: {} updates on {} rows -> {}",
         stats.rows,

@@ -101,10 +101,10 @@ grep -q traceEvents "$TRACE_DIR/chrome.json" \
 echo "-- chrome export valid"
 
 echo "== plan-cache equivalence smoke =="
-# The compiled engine must be byte-identical with the plan cache on and
-# off: same repaired CSV, same repair counters in --metrics (DESIGN.md
-# §12 "metrics parity"). Only repair.plan_cache.*/repair.plan.* counters
-# may differ — they count cache traffic and actual engine work. Tile the
+# The repair path must be byte-identical with the plan cache on and off:
+# same repaired CSV, same repair counters in --metrics (DESIGN.md §12
+# "metrics parity"). Only repair.plan_cache.*/repair.plan.* counters may
+# differ — they count cache traffic and actual engine work. Tile the
 # example rows so repeated signatures actually hit the cache.
 {
     cat examples/data/hosp_dirty.csv
@@ -115,52 +115,75 @@ for cache in on off; do
     "$FIXCTL" repair \
         --rules examples/rulesets/hosp_zip.frl \
         --data "$TRACE_DIR/hosp_dup.csv" \
-        --engine compiled --plan-cache "$cache" \
-        --out "$TRACE_DIR/compiled_$cache.csv" \
+        --engine linear --plan-cache "$cache" \
+        --out "$TRACE_DIR/cached_$cache.csv" \
         --metrics "$TRACE_DIR/metrics_$cache.json" >/dev/null
     grep -o '"repair\.[a-z_.]*": [0-9][0-9]*' "$TRACE_DIR/metrics_$cache.json" \
         | grep -v 'repair\.plan' > "$TRACE_DIR/counters_$cache.txt"
     sed -n '/"repair\.tuple_/,/}/p' "$TRACE_DIR/metrics_$cache.json" \
         >> "$TRACE_DIR/counters_$cache.txt"
 done
-cmp "$TRACE_DIR/compiled_on.csv" "$TRACE_DIR/compiled_off.csv" \
-    || { echo "compiled output differs with plan cache on vs off" >&2; exit 1; }
+cmp "$TRACE_DIR/cached_on.csv" "$TRACE_DIR/cached_off.csv" \
+    || { echo "repaired output differs with plan cache on vs off" >&2; exit 1; }
 diff "$TRACE_DIR/counters_on.txt" "$TRACE_DIR/counters_off.txt" \
     || { echo "repair metrics differ with plan cache on vs off" >&2; exit 1; }
-grep -q '"repair\.plan_cache\.hits": [1-9]' "$TRACE_DIR/metrics_on.json" \
-    || { echo "cached run recorded no plan-cache hits" >&2; exit 1; }
-echo "-- compiled output and repair counters byte-identical, cache on/off"
+# One batch probes the cache once per signature group (duplicates are
+# scattered within the batch, so a single table run records misses, not
+# hits); the uncached run must not touch it.
+grep -q '"repair\.plan_cache\.misses": [1-9]' "$TRACE_DIR/metrics_on.json" \
+    || { echo "cached run never probed the plan cache" >&2; exit 1; }
+grep -q '"repair\.plan_cache\.misses": 0' "$TRACE_DIR/metrics_off.json" \
+    || { echo "uncached run probed the plan cache" >&2; exit 1; }
+echo "-- repaired output and repair counters byte-identical, cache on/off"
 
-echo "== columnar group-by-plan equivalence smoke =="
-# The columnar engine must reproduce the row-at-a-time compiled engine
-# byte for byte (DESIGN.md §17): same repaired CSV, same repair counters
-# — only the repair.plan_cache.* probe counts (k probes instead of n)
-# and the columnar-only repair.batch.* group-by counters may differ —
-# and the same repair.cell provenance records. Journal seq numbers are
-# position-dependent, so they are stripped before comparing.
-for engine in compiled columnar; do
+echo "== oracle golden smoke =="
+# The one repair path must reproduce the paper's lRepair oracle byte for
+# byte (DESIGN.md §17). The goldens under examples/data/golden/ were
+# produced from hosp_dup.csv by the lRepair oracle: the repaired CSV, the
+# repair.cell provenance records (journal seq numbers stripped — they
+# are position-dependent), the repair counters and tuple histograms, and
+# the window-2 quality snapshot of the oracle's stream. Counters that
+# measure engine work rather than repairs are left out: repair.index.* /
+# repair.queue.* (the oracle's inverted lists), repair.plan* (the
+# compiled engine's probes and cache) and repair.batch.* (group-by).
+GOLDEN=examples/data/golden
+filter_counters() {
+    grep -o '"repair\.[a-z_.]*": [0-9][0-9]*' "$1" \
+        | grep -v 'repair\.plan' | grep -v 'repair\.batch' \
+        | grep -v 'repair\.index' | grep -v 'repair\.queue'
+    sed -n '/"repair\.tuple_/,/}/p' "$1"
+}
+for run in "lrepair" "linear --plan-cache off" "columnar --threads 2"; do
+    tag=${run%% *}
+    # shellcheck disable=SC2086 # $run carries the engine plus its flags
     "$FIXCTL" repair \
         --rules examples/rulesets/hosp_zip.frl \
         --data "$TRACE_DIR/hosp_dup.csv" \
-        --engine "$engine" \
-        --out "$TRACE_DIR/eng_$engine.csv" \
-        --metrics "$TRACE_DIR/eng_metrics_$engine.json" \
-        --trace "$TRACE_DIR/eng_trace_$engine.jsonl" >/dev/null
-    grep -o '"repair\.[a-z_.]*": [0-9][0-9]*' "$TRACE_DIR/eng_metrics_$engine.json" \
-        | grep -v 'repair\.plan_cache' | grep -v 'repair\.batch' \
-        > "$TRACE_DIR/eng_counters_$engine.txt"
-    grep '"repair\.cell"' "$TRACE_DIR/eng_trace_$engine.jsonl" \
-        | sed -E 's/"seq": *[0-9]+, *//' > "$TRACE_DIR/eng_cells_$engine.txt"
+        --engine $run \
+        --out "$TRACE_DIR/eng_$tag.csv" \
+        --metrics "$TRACE_DIR/eng_metrics_$tag.json" \
+        --trace "$TRACE_DIR/eng_trace_$tag.jsonl" >/dev/null
+    cmp "$TRACE_DIR/eng_$tag.csv" "$GOLDEN/hosp_dup.repaired.csv" \
+        || { echo "--engine $run: repaired CSV differs from the oracle golden" >&2; exit 1; }
+    filter_counters "$TRACE_DIR/eng_metrics_$tag.json" | diff - "$GOLDEN/hosp_dup.counters.txt" \
+        || { echo "--engine $run: repair counters differ from the oracle golden" >&2; exit 1; }
+    grep '"repair\.cell"' "$TRACE_DIR/eng_trace_$tag.jsonl" \
+        | sed -E 's/"seq": *[0-9]+, *//' | cmp - "$GOLDEN/hosp_dup.cells.jsonl" \
+        || { echo "--engine $run: repair.cell provenance differs from the oracle golden" >&2; exit 1; }
 done
-cmp "$TRACE_DIR/eng_compiled.csv" "$TRACE_DIR/eng_columnar.csv" \
-    || { echo "columnar output differs from compiled" >&2; exit 1; }
-diff "$TRACE_DIR/eng_counters_compiled.txt" "$TRACE_DIR/eng_counters_columnar.txt" \
-    || { echo "repair counters differ, compiled vs columnar" >&2; exit 1; }
-cmp "$TRACE_DIR/eng_cells_compiled.txt" "$TRACE_DIR/eng_cells_columnar.txt" \
-    || { echo "repair.cell provenance differs, compiled vs columnar" >&2; exit 1; }
-grep -q '"repair\.batch\.groups": [1-9]' "$TRACE_DIR/eng_metrics_columnar.json" \
-    || { echo "columnar run recorded no signature groups" >&2; exit 1; }
-echo "-- columnar matches compiled: CSV, repair counters, provenance"
+grep -q '"repair\.batch\.groups": [1-9]' "$TRACE_DIR/eng_metrics_lrepair.json" \
+    || { echo "repair recorded no signature groups" >&2; exit 1; }
+"$FIXCTL" repair \
+    --rules examples/rulesets/hosp_zip.frl \
+    --data "$TRACE_DIR/hosp_dup.csv" \
+    --engine stream --quality-window 2 \
+    --out "$TRACE_DIR/eng_stream.csv" \
+    --quality-json "$TRACE_DIR/eng_quality.json" >/dev/null
+cmp "$TRACE_DIR/eng_stream.csv" "$GOLDEN/hosp_dup.repaired.csv" \
+    || { echo "stream output differs from the oracle golden" >&2; exit 1; }
+cmp "$TRACE_DIR/eng_quality.json" "$GOLDEN/hosp_dup.quality.json" \
+    || { echo "stream quality snapshot differs from the oracle golden" >&2; exit 1; }
+echo "-- table and stream runs match the lRepair oracle goldens"
 
 echo "== attribution profile determinism smoke =="
 # Two identical --profile-json runs must be byte-identical: the profile
@@ -169,7 +192,7 @@ for run in 1 2; do
     "$FIXCTL" repair \
         --rules examples/rulesets/hosp_zip.frl \
         --data "$TRACE_DIR/hosp_dup.csv" \
-        --engine compiled \
+        --engine linear \
         --out "$TRACE_DIR/profiled_$run.csv" \
         --profile-json "$TRACE_DIR/profile_$run.json" >/dev/null
 done

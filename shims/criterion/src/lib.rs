@@ -32,8 +32,9 @@ pub enum BatchSize {
     PerIteration,
 }
 
-/// Throughput annotation attached to a group; reported as
-/// `elements_per_sec` in the JSON output.
+/// Throughput annotation of a group, applying to every benchmark run
+/// after it is set; reported per benchmark as `elements_per_sec` in the
+/// JSON output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Throughput {
     Elements(u64),
@@ -139,10 +140,18 @@ struct BenchReport {
     /// Snapshot of the per-bench [`Bencher::metrics`] registry; omitted
     /// when the benchmark recorded nothing into it.
     metrics: Option<Json>,
+    /// The group's throughput annotation when this benchmark ran — a
+    /// group may change it between benchmarks.
+    throughput: Option<Throughput>,
 }
 
 impl BenchReport {
-    fn from_samples(id: String, mut samples_ns: Vec<u64>, metrics: Option<Json>) -> Self {
+    fn from_samples(
+        id: String,
+        mut samples_ns: Vec<u64>,
+        metrics: Option<Json>,
+        throughput: Option<Throughput>,
+    ) -> Self {
         samples_ns.sort_unstable();
         let n = samples_ns.len().max(1);
         let sum: u128 = samples_ns.iter().map(|&v| v as u128).sum();
@@ -154,10 +163,11 @@ impl BenchReport {
             min_ns: samples_ns.first().copied().unwrap_or(0),
             max_ns: samples_ns.last().copied().unwrap_or(0),
             metrics,
+            throughput,
         }
     }
 
-    fn to_json(&self, throughput: Option<Throughput>) -> Json {
+    fn to_json(&self) -> Json {
         let mut obj = Json::Null;
         obj.set("id", self.id.as_str());
         obj.set("samples", self.samples);
@@ -165,8 +175,11 @@ impl BenchReport {
         obj.set("median_ns", self.median_ns);
         obj.set("min_ns", self.min_ns);
         obj.set("max_ns", self.max_ns);
+        if let Some(Throughput::Elements(elems)) = self.throughput {
+            obj.set("throughput_elements", elems);
+        }
         if self.mean_ns > 0.0 {
-            match throughput {
+            match self.throughput {
                 Some(Throughput::Elements(elems)) => {
                     obj.set("elements_per_sec", elems as f64 * 1e9 / self.mean_ns);
                 }
@@ -243,7 +256,7 @@ impl BenchmarkGroup<'_> {
         };
         f(&mut bencher);
         let metrics = non_empty_snapshot(&bencher.metrics);
-        let report = BenchReport::from_samples(id, bencher.samples_ns, metrics);
+        let report = BenchReport::from_samples(id, bencher.samples_ns, metrics, self.throughput);
         println!(
             "{}/{}: mean {} (min {}, max {}, {} samples)",
             self.name,
@@ -268,17 +281,9 @@ impl BenchmarkGroup<'_> {
         self.finished = true;
         let mut root = Json::Null;
         root.set("group", self.name.as_str());
-        if let Some(Throughput::Elements(elems)) = self.throughput {
-            root.set("throughput_elements", elems);
-        }
         root.set(
             "benchmarks",
-            Json::Arr(
-                self.reports
-                    .iter()
-                    .map(|r| r.to_json(self.throughput))
-                    .collect(),
-            ),
+            Json::Arr(self.reports.iter().map(BenchReport::to_json).collect()),
         );
         let dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| default_out_dir());
         let file = sanitize(&self.name);
@@ -461,12 +466,13 @@ mod tests {
 
     #[test]
     fn report_statistics_are_ordered() {
-        let r = BenchReport::from_samples("x".into(), vec![30, 10, 20], None);
+        let throughput = Some(Throughput::Elements(1_000));
+        let r = BenchReport::from_samples("x".into(), vec![30, 10, 20], None, throughput);
         assert_eq!(r.min_ns, 10);
         assert_eq!(r.median_ns, 20);
         assert_eq!(r.max_ns, 30);
         assert!((r.mean_ns - 20.0).abs() < 1e-9);
-        let json = r.to_json(Some(Throughput::Elements(1_000)));
+        let json = r.to_json();
         assert_eq!(json.get("samples").and_then(|v| v.as_i64()), Some(3));
         assert!(json.get("elements_per_sec").is_some());
     }
@@ -490,8 +496,27 @@ mod tests {
             "{snap}"
         );
         // And the snapshot rides into the JSON report entry.
-        let json = group.reports[1].to_json(None);
+        let json = group.reports[1].to_json();
         assert!(json.get("metrics").is_some());
+        group.finished = true;
+    }
+
+    #[test]
+    fn each_report_uses_the_throughput_it_ran_under() {
+        let mut c = Criterion::default().sample_size(2);
+        let mut group = c.benchmark_group("shim_test_throughput");
+        group.throughput(Throughput::Elements(10));
+        group.bench_function("small", |b| b.iter(|| 1 + 1));
+        group.throughput(Throughput::Elements(1_000));
+        group.bench_function("large", |b| b.iter(|| 1 + 1));
+        for (report, elems) in group.reports.iter().zip([10u64, 1_000]) {
+            let json = report.to_json();
+            let per_sec = json.get("elements_per_sec").and_then(Json::as_f64);
+            let expected = elems as f64 * 1e9 / report.mean_ns;
+            assert_eq!(per_sec, Some(expected), "{}", report.id);
+            let annotated = json.get("throughput_elements").and_then(|v| v.as_i64());
+            assert_eq!(annotated, Some(elems as i64), "{}", report.id);
+        }
         group.finished = true;
     }
 

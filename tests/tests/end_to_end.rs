@@ -6,7 +6,11 @@ use baselines::{csm_repair, edit_repair, heu_repair, EditRuleSet};
 use datagen::noise::{inject, NoiseConfig};
 use eval::rules::{build_ruleset, RuleGenConfig};
 use eval::score;
-use fixrules::repair::{crepair_table, lrepair_table, par_lrepair_table, LRepairIndex};
+use fixrules::repair::{
+    crepair_table, lrepair_table, par_columnar_table_observed, CompiledEngine, LRepairIndex,
+    PlanCache, RuleProgram,
+};
+use relation::ColumnTable;
 
 fn pipeline(
     mut dataset: datagen::Dataset,
@@ -55,10 +59,21 @@ fn all_three_repair_drivers_agree_on_hosp() {
     let index = LRepairIndex::build(&rules);
     let mut by_chase = dirty.clone();
     let mut by_linear = dirty.clone();
-    let mut by_parallel = dirty.clone();
     let oc = crepair_table(&rules, &mut by_chase);
     let ol = lrepair_table(&rules, &index, &mut by_linear);
-    let op = par_lrepair_table(&rules, &index, &mut by_parallel, 4);
+    let program = RuleProgram::compile(&rules);
+    let cache = PlanCache::sharded(16);
+    let mut columns = ColumnTable::from(&dirty);
+    let (op, _) = par_columnar_table_observed(
+        &rules,
+        &program,
+        CompiledEngine::Linear,
+        Some(&cache),
+        &mut columns,
+        4,
+        &obs::NoopObserver,
+    );
+    let by_parallel = columns.to_table();
     assert_eq!(by_chase.diff_cells(&by_linear).unwrap(), 0);
     assert_eq!(by_chase.diff_cells(&by_parallel).unwrap(), 0);
     assert_eq!(oc.total_updates(), ol.total_updates());
