@@ -82,7 +82,7 @@ use fixrules::io::{format_rule, format_rules, parse_rules, parse_rules_spanned, 
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
 use fixrules::repair::{
     columnar_table_observed, par_columnar_table_observed, stream_repair_csv, BatchStats,
-    CompiledEngine, LRepairIndex, PlanCache, RuleProgram,
+    CompiledEngine, LRepairIndex, PlanCache, RepairOutcome, RuleProgram,
 };
 use fixrules::RuleSet;
 use obs::trace::{chrome_trace, parse_jsonl, TracePhase, TraceSpan};
@@ -91,6 +91,7 @@ use obs::{
     MetricsObserver, MetricsRegistry, MetricsServer, QualityConfig, QualityMonitor, RepairObserver,
     RuleLabel, Tee, TraceClock, TraceJournal,
 };
+use relation::csv_io::{read_csv_file_as, write_csv_file, CsvTable, CsvWriter};
 use relation::{ColumnTable, Schema, Symbol, SymbolTable, Table};
 
 fn main() -> ExitCode {
@@ -478,7 +479,7 @@ fn cmd_certify(
 /// picking the direction from the output extension.
 fn cmd_convert(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let out = flags.required("out")?;
-    let (_table, rules, symbols) = load(flags, obs_ctx)?;
+    let (_table, rules, symbols) = load::<Table>(flags, obs_ctx)?;
     if out.ends_with(".json") {
         let doc = fixrules::io::to_portable(&rules, &symbols);
         std::fs::write(out, doc.to_json_string()).map_err(|e| format!("writing {out}: {e}"))?;
@@ -531,7 +532,7 @@ fn cmd_discover(flags: &Flags) -> Result<(), String> {
 /// Audit mode: report and explain every update a repair would apply,
 /// without writing anything.
 fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (table, rules, symbols) = load(flags, obs_ctx)?;
+    let (table, rules, symbols) = load::<Table>(flags, obs_ctx)?;
     let report = check_consistency_observed(&rules, obs_ctx, threads_flag(flags)?);
     if !report.is_consistent() {
         return Err(format!(
@@ -565,18 +566,20 @@ fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     Ok(())
 }
 
-/// Load the CSV (schema from header) and the rule file against it.
-fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, RuleSet, SymbolTable), String> {
+/// Load the CSV (schema from header) into a `T` — a [`ColumnTable`] for
+/// repair, a [`Table`] for the row-major analyses — and the rule file
+/// against it.
+fn load<T: CsvTable>(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(T, RuleSet, SymbolTable), String> {
     let _span = obs_ctx.span("load");
     let data_path = flags.required("data")?;
     let rules_path = flags.required("rules")?;
     let mut symbols = SymbolTable::new();
-    let table = relation::csv_io::read_csv_file(data_path, "data", &mut symbols)
+    let table: T = read_csv_file_as(data_path, "data", &mut symbols)
         .map_err(|e| format!("reading {data_path}: {e}"))?;
     let rules = parse_rules_file(rules_path, table.schema(), &mut symbols)?;
     obs::info!(
         "load.done",
-        rows = table.len(),
+        rows = table.num_rows(),
         rules = rules.len(),
         vocab = symbols.len()
     );
@@ -782,7 +785,7 @@ fn check_consistency_observed(
 }
 
 fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (_table, rules, symbols) = load(flags, obs_ctx)?;
+    let (_table, rules, symbols) = load::<Table>(flags, obs_ctx)?;
     let report = check_consistency_observed(&rules, obs_ctx, threads_flag(flags)?);
     println!(
         "{} rules, size(Σ) = {}, {} pairs checked",
@@ -852,14 +855,14 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let data_path = flags.required("data")?;
     let rules_path = flags.required("rules")?;
     let mut symbols = SymbolTable::new();
-    let table = {
+    let mut columns: ColumnTable = {
         let _span = obs_ctx.span("load");
-        relation::csv_io::read_csv_file(data_path, "data", &mut symbols)
+        read_csv_file_as(data_path, "data", &mut symbols)
             .map_err(|e| format!("reading {data_path}: {e}"))?
     };
     let text =
         std::fs::read_to_string(rules_path).map_err(|e| format!("reading {rules_path}: {e}"))?;
-    let parsed = parse_rules_spanned(&text, table.schema(), &mut symbols)
+    let parsed = parse_rules_spanned(&text, columns.schema(), &mut symbols)
         .map_err(|e| format!("parsing {rules_path}: {e}"))?;
     let rules = parsed.rules;
     let report = check_consistency_observed(&rules, obs_ctx, 1);
@@ -875,7 +878,6 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let engine = engine_flavor(flags.optional("engine").unwrap_or("lrepair"))?;
     let program = RuleProgram::compile(&rules);
     let cache = PlanCache::unbounded();
-    let mut columns = ColumnTable::from(&table);
     {
         let _span = obs_ctx.span("repair");
         columnar_table_observed(
@@ -1229,7 +1231,7 @@ fn cmd_client(sub: &str, positional: Option<&str>, flags: &Flags) -> Result<Exit
 }
 
 fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (_table, mut rules, symbols) = load(flags, obs_ctx)?;
+    let (_table, mut rules, symbols) = load::<Table>(flags, obs_ctx)?;
     let strategy = match flags.optional("strategy").unwrap_or("shrink") {
         "shrink" => Strategy::ShrinkNegatives,
         "drop" => Strategy::Conservative,
@@ -1299,8 +1301,8 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         obs::info!("load.done", rules = rules.len(), vocab = symbols.len());
         (None, rules, symbols)
     } else {
-        let (table, rules, symbols) = load(flags, obs_ctx)?;
-        (Some(table), rules, symbols)
+        let (columns, rules, symbols) = load::<ColumnTable>(flags, obs_ctx)?;
+        (Some(columns), rules, symbols)
     };
     // The endpoint goes up before any repair work so a scraper can watch
     // the counters move while the run is in flight.
@@ -1411,8 +1413,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             );
             None
         }
-        Some(table) => {
-            let mut columns = ColumnTable::from(&table);
+        Some(mut columns) => {
             let (outcome, batch) = {
                 let _span = obs_ctx.span("repair");
                 if threads > 1 {
@@ -1436,8 +1437,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
                     )
                 }
             };
-            let table = columns.to_table();
-            let stats = outcome.stats(table.len());
+            let stats = outcome.stats(columns.len());
             obs::info!(
                 "repair.done",
                 algo = algo,
@@ -1450,7 +1450,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
                 "{} update(s) across {} row(s) of {}",
                 stats.updates, stats.rows_touched, stats.rows
             );
-            Some((table, outcome))
+            Some((columns, outcome))
         }
     };
     if let Some(cache) = &cache {
@@ -1470,30 +1470,40 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             obs::info!("quality.written", path = path);
         }
     }
-    if let Some((table, _)) = &repaired {
+    if let Some((columns, _)) = &repaired {
         let _span = obs_ctx.span("write");
-        relation::csv_io::write_csv_file(out, table, &symbols)
-            .map_err(|e| format!("writing {out}: {e}"))?;
+        write_csv_file(out, columns, &symbols).map_err(|e| format!("writing {out}: {e}"))?;
     }
     println!("wrote {out}");
-    if let (Some((table, outcome)), Some(log_path)) = (&repaired, flags.optional("updates-log")) {
-        let mut w = String::from("row,attribute,old,new,rule\n");
-        for u in &outcome.updates {
-            w.push_str(&format!(
-                "{},{},{},{},{}\n",
-                u.row,
-                table.schema().attr_name(u.attr),
-                symbols.resolve(u.old),
-                symbols.resolve(u.new),
-                u.rule.0
-            ));
-        }
-        std::fs::write(log_path, w).map_err(|e| format!("writing {log_path}: {e}"))?;
+    if let (Some((_, outcome)), Some(log_path)) = (&repaired, flags.optional("updates-log")) {
+        write_updates_log(log_path, &rules, &symbols, outcome)
+            .map_err(|e| format!("writing {log_path}: {e}"))?;
         println!("wrote {log_path}");
     }
     emit_profile(flags, attribution.as_ref())?;
     finish_expose(hold, server);
     Ok(())
+}
+
+/// `--updates-log`: one CSV record per cell update, in application order.
+fn write_updates_log(
+    path: &str,
+    rules: &RuleSet,
+    symbols: &SymbolTable,
+    outcome: &RepairOutcome,
+) -> relation::Result<()> {
+    let mut w = CsvWriter::new(std::fs::File::create(path)?);
+    w.write_record(["row", "attribute", "old", "new", "rule"])?;
+    for u in &outcome.updates {
+        w.write_record([
+            u.row.to_string().as_str(),
+            rules.schema().attr_name(u.attr),
+            symbols.resolve(u.old),
+            symbols.resolve(u.new),
+            u.rule.0.to_string().as_str(),
+        ])?;
+    }
+    w.finish()
 }
 
 /// Print the group-by shape of a repair run.
@@ -1684,7 +1694,7 @@ fn cmd_trace_export(positional: Option<&str>, flags: &Flags) -> Result<(), Strin
 }
 
 fn cmd_stats(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (table, rules, _symbols) = load(flags, obs_ctx)?;
+    let (table, rules, _symbols) = load::<Table>(flags, obs_ctx)?;
     println!("schema: {}", table.schema());
     println!("data:   {} rows", table.len());
     println!("rules:  {} (size(Σ) = {})", rules.len(), rules.size());

@@ -125,6 +125,49 @@ fn resolve_then_repair_round_trip() {
     assert!(log_text.contains("country,China,Japan"));
 }
 
+/// `--updates-log` values are CSV fields: a comma or quote in an old or
+/// new value is quoted, so the log parses back to five cells per record.
+#[test]
+fn updates_log_quotes_values_with_commas_and_quotes() {
+    let dir = tmpdir("updates_log_quoting");
+    let data = dir.join("t.csv");
+    let rules = dir.join("r.frl");
+    let log = dir.join("updates.csv");
+    std::fs::write(&data, "zip,city\n36545,\"Jaxon, North\"\n").unwrap();
+    std::fs::write(
+        &rules,
+        r#"IF zip = "36545" AND city IN {"Jaxon, North"} THEN city := "Jackson \"AL\"""#,
+    )
+    .unwrap();
+    let out = fixctl(&[
+        "repair",
+        "--rules",
+        rules.to_str().unwrap(),
+        "--data",
+        data.to_str().unwrap(),
+        "--out",
+        dir.join("fixed.csv").to_str().unwrap(),
+        "--updates-log",
+        log.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let log_text = std::fs::read_to_string(&log).unwrap();
+    assert_eq!(
+        log_text,
+        "row,attribute,old,new,rule\n0,city,\"Jaxon, North\",\"Jackson \"\"AL\"\"\",0\n"
+    );
+    let mut symbols = relation::SymbolTable::new();
+    let parsed = relation::csv_io::read_csv(log_text.as_bytes(), "log", &mut symbols).unwrap();
+    assert_eq!(
+        parsed.row_strs(&symbols, 0),
+        ["0", "city", "Jaxon, North", "Jackson \"AL\"", "0"]
+    );
+}
+
 #[test]
 fn repair_refuses_inconsistent_rules() {
     let dir = tmpdir("repair_refuse");

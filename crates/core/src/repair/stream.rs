@@ -14,11 +14,12 @@
 use std::io::{Read, Write};
 
 use obs::RepairObserver;
-use relation::{RelationError, Symbol, SymbolTable};
+use relation::csv_io::{CsvReader, CsvWriter};
+use relation::{ColumnTable, RelationError, SymbolTable};
 
 use crate::repair::columnar::{repair_columns_grouped, BatchStats};
 use crate::repair::compile::{CompiledEngine, CompiledScratch, PlanCache, RuleProgram};
-use crate::repair::RepairStats;
+use crate::repair::{RepairOutcome, RepairStats};
 use crate::ruleset::RuleSet;
 
 /// Statistics of one streaming run — the shared
@@ -56,76 +57,50 @@ pub fn stream_repair_csv<R: Read, W: Write, O: RepairObserver>(
     batch_rows: usize,
     observer: &O,
 ) -> Result<(StreamStats, BatchStats), RelationError> {
-    let mut rdr = csv::ReaderBuilder::new()
-        .has_headers(true)
-        .flexible(false)
-        .from_reader(reader);
-    let headers = rdr.headers()?.clone();
+    let mut rdr = CsvReader::new(reader)?;
     let schema = rules.schema();
-    if headers.len() != schema.arity()
-        || !headers.iter().zip(schema.attr_names()).all(|(h, a)| h == a)
-    {
+    let headers = rdr.header();
+    if !headers.iter().map(String::as_str).eq(schema.attr_names()) {
         return Err(RelationError::UnknownAttribute(format!(
             "CSV header [{}] does not match rule schema {}",
-            headers.iter().collect::<Vec<_>>().join(", "),
+            headers.join(", "),
             schema
         )));
     }
-    let mut wtr = csv::Writer::from_writer(writer);
-    wtr.write_record(&headers)?;
+    let mut wtr = CsvWriter::new(writer);
+    wtr.write_record(schema.attr_names())?;
 
     let batch_rows = batch_rows.max(1);
-    let arity = schema.arity();
     let mut scratch = CompiledScratch::new(rules.len());
-    let mut cols: Vec<Vec<Symbol>> = vec![Vec::with_capacity(batch_rows); arity];
     let mut stats = StreamStats::default();
     let mut batch_stats = BatchStats::default();
-    let mut records = rdr.records();
     loop {
-        for col in &mut cols {
-            col.clear();
-        }
-        let mut n = 0usize;
-        while n < batch_rows {
-            let Some(record) = records.next() else { break };
-            let record = record?;
-            for (col, cell) in cols.iter_mut().zip(record.iter()) {
-                col.push(symbols.intern(cell));
-            }
-            n += 1;
-        }
+        let mut batch = ColumnTable::with_capacity(schema.clone(), batch_rows);
+        let n = rdr.read_rows(symbols, &mut batch, batch_rows)?;
         if n == 0 {
             break;
         }
-        let base = stats.rows;
-        let mut col_slices: Vec<&mut [Symbol]> =
-            cols.iter_mut().map(|c| c.as_mut_slice()).collect();
         let (updates, bstats) = repair_columns_grouped(
             rules,
             program,
             engine,
             cache,
             &mut scratch,
-            &mut col_slices,
-            base,
+            &mut batch.columns_mut(),
+            stats.rows,
             observer,
         );
         batch_stats.merge(bstats);
-        stats.updates += updates.len();
-        let mut last = usize::MAX;
-        for u in &updates {
-            if u.row != last {
-                stats.rows_touched += 1;
-                last = u.row;
-            }
-        }
-        for i in 0..n {
-            stats.rows += 1;
+        let outcome = RepairOutcome { updates };
+        stats.updates += outcome.total_updates();
+        stats.rows_touched += outcome.rows_touched();
+        stats.rows += n;
+        for _ in 0..n {
             observer.stream_record(symbols.len());
-            wtr.write_record(cols.iter().map(|c| symbols.resolve(c[i])))?;
         }
+        wtr.write_rows(&batch, symbols)?;
     }
-    wtr.flush()?;
+    wtr.finish()?;
     Ok((stats, batch_stats))
 }
 

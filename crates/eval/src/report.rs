@@ -4,6 +4,9 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
+use relation::csv_io::CsvWriter;
+use relation::RelationError;
+
 /// Print a titled, column-aligned table to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -51,22 +54,13 @@ pub fn write_csv(
 ) -> std::io::Result<std::path::PathBuf> {
     fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.csv"));
-    let mut f = std::io::BufWriter::new(fs::File::create(&path)?);
-    writeln!(f, "{}", headers.join(","))?;
+    let mut w = CsvWriter::new(fs::File::create(&path)?);
+    let io = |e: RelationError| std::io::Error::other(e.to_string());
+    w.write_record(headers).map_err(io)?;
     for row in rows {
-        let escaped: Vec<String> = row
-            .iter()
-            .map(|c| {
-                if c.contains(',') || c.contains('"') {
-                    format!("\"{}\"", c.replace('"', "\"\""))
-                } else {
-                    c.clone()
-                }
-            })
-            .collect();
-        writeln!(f, "{}", escaped.join(","))?;
+        w.write_record(row).map_err(io)?;
     }
-    f.flush()?;
+    w.finish().map_err(io)?;
     Ok(path)
 }
 

@@ -104,7 +104,7 @@ use obs::{
     TraceJournal, TracePhase, TraceRecord,
 };
 use obs::{AlertRule, HealthEvaluator, QualityConfig, QualityMonitor, Tee};
-use relation::{csv_io, Schema, Symbol, SymbolTable};
+use relation::{csv_io, ColumnTable, Schema, Symbol, SymbolTable};
 
 /// How many recent trace ids stay resolvable via `GET /trace/{id}`.
 const TRACE_INDEX_CAP: usize = 1024;
@@ -499,37 +499,25 @@ impl Daemon {
     }
 }
 
-fn plan_cache<'a>(state: &DaemonState, bundle: &'a ProgramBundle) -> Option<&'a PlanCache> {
-    state.use_cache.then_some(&bundle.cache)
-}
-
-/// The row→column batch step every repairing endpoint shares: transpose
-/// `rows` (daemon-schema order) into columns and repair them as one
-/// grouped batch against `bundle`, leaving `rows` untouched. Returns the
-/// updates in `(row, application order)`, rows re-indexed from
-/// `base_row`.
+/// The repair step every repairing endpoint shares: repair `batch`
+/// (daemon-schema order, shared symbols) in place as one grouped batch
+/// against `bundle`. Returns the updates in `(row, application order)`,
+/// rows re-indexed from `base_row`.
 fn repair_batch<O: RepairObserver>(
     state: &DaemonState,
     bundle: &ProgramBundle,
     scratch: &mut CompiledScratch,
-    rows: &[Vec<Symbol>],
+    batch: &mut ColumnTable,
     base_row: usize,
     observer: &O,
 ) -> Vec<CellUpdate> {
-    let mut cols: Vec<Vec<Symbol>> = vec![Vec::with_capacity(rows.len()); state.schema.arity()];
-    for row in rows {
-        for (col, &sym) in cols.iter_mut().zip(row.iter()) {
-            col.push(sym);
-        }
-    }
-    let mut col_slices: Vec<&mut [Symbol]> = cols.iter_mut().map(|c| c.as_mut_slice()).collect();
     let (updates, _batch) = repair_columns_grouped(
         &bundle.rules,
         &bundle.program,
         state.engine,
-        plan_cache(state, bundle),
+        state.use_cache.then_some(&bundle.cache),
         scratch,
-        &mut col_slices,
+        &mut batch.columns_mut(),
         base_row,
         observer,
     );
@@ -542,11 +530,18 @@ fn repair_batch<O: RepairObserver>(
 fn warm_cache(state: &DaemonState, path: &str) -> Result<usize, SrvError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| SrvError::new(400, format!("reading {path}: {e}")))?;
-    let rows = parse_csv_rows(state, &text)?;
+    let mut batch = parse_csv_batch(state, &text)?;
     let bundle = state.bundle();
     let mut scratch = CompiledScratch::new(bundle.rules.len());
-    repair_batch(state, &bundle, &mut scratch, &rows, 0, &obs::NoopObserver);
-    Ok(rows.len())
+    repair_batch(
+        state,
+        &bundle,
+        &mut scratch,
+        &mut batch,
+        0,
+        &obs::NoopObserver,
+    );
+    Ok(batch.len())
 }
 
 /// Accept loop + fixed worker pool. Runs until the stop flag is set, then
@@ -698,9 +693,9 @@ fn route(
     }
 }
 
-/// Parse a request body into rows in daemon-schema attribute order,
-/// interning new values into the shared symbol table.
-fn parse_rows(state: &DaemonState, request: &Request) -> Result<Vec<Vec<Symbol>>, SrvError> {
+/// Parse a request body into a batch in daemon-schema attribute order
+/// over the shared symbol table.
+fn parse_batch(state: &DaemonState, request: &Request) -> Result<ColumnTable, SrvError> {
     let body = request.body_str();
     if body.trim().is_empty() {
         return Err(bad_request("empty request body"));
@@ -710,9 +705,9 @@ fn parse_rows(state: &DaemonState, request: &Request) -> Result<Vec<Vec<Symbol>>
         .map(|ct| ct.contains("json"))
         .unwrap_or_else(|| matches!(body.trim_start().as_bytes().first(), Some(b'{' | b'[')));
     if is_json {
-        parse_json_rows(state, &body)
+        parse_json_batch(state, &body)
     } else {
-        parse_csv_rows(state, &body)
+        parse_csv_batch(state, &body)
     }
 }
 
@@ -721,78 +716,44 @@ fn parse_rows(state: &DaemonState, request: &Request) -> Result<Vec<Vec<Symbol>>
 /// silently dropping a column the rules constrain would repair against
 /// evidence the client never sent.
 ///
-/// Parsing interns into a request-local [`SymbolTable`], then maps the
-/// cells onto the shared table via [`intern_rows`] — so concurrent
-/// batches parse in parallel instead of serializing on the write lock.
-fn parse_csv_rows(state: &DaemonState, body: &str) -> Result<Vec<Vec<Symbol>>, SrvError> {
+/// Parsing interns into a request-local [`SymbolTable`], so concurrent
+/// batches parse in parallel instead of serializing on the write lock;
+/// [`share_symbols`] then maps the batch onto the shared table.
+fn parse_csv_batch(state: &DaemonState, body: &str) -> Result<ColumnTable, SrvError> {
     let mut local = SymbolTable::new();
-    let table = csv_io::read_csv(body.as_bytes(), "request", &mut local)
+    let table: ColumnTable = csv_io::read_csv_as(body.as_bytes(), "request", &mut local)
         .map_err(|e| bad_request(format!("csv: {e}")))?;
     for name in table.schema().attr_names() {
         if state.schema.attr(name).is_none() {
             return Err(bad_request(format!("unknown column {name:?}")));
         }
     }
-    let mut columns = Vec::with_capacity(state.schema.arity());
-    for name in state.schema.attr_names() {
-        let id = table
-            .schema()
-            .attr(name)
-            .ok_or_else(|| bad_request(format!("missing column {name:?}")))?;
-        columns.push(id);
-    }
-    let rows: Vec<Vec<&str>> = (0..table.len())
-        .map(|i| {
-            columns
-                .iter()
-                .map(|&c| local.resolve(table.cell(i, c)))
-                .collect()
+    let attrs = state
+        .schema
+        .attr_names()
+        .map(|name| {
+            table
+                .schema()
+                .attr(name)
+                .ok_or_else(|| bad_request(format!("missing column {name:?}")))
         })
-        .collect();
-    Ok(intern_rows(state, &rows))
-}
-
-/// Map parsed string cells onto the shared symbol table. Steady-state
-/// traffic (every value already interned by an earlier batch or the
-/// rule set) resolves under the read lock alone; only a batch carrying
-/// genuinely new values falls back to the write lock.
-fn intern_rows(state: &DaemonState, rows: &[Vec<&str>]) -> Vec<Vec<Symbol>> {
-    {
-        let symbols = state.symbols.read().unwrap();
-        let mut out = Vec::with_capacity(rows.len());
-        let mut all_known = true;
-        'rows: for row in rows {
-            let mut mapped = Vec::with_capacity(row.len());
-            for cell in row {
-                match symbols.get(cell) {
-                    Some(sym) => mapped.push(sym),
-                    None => {
-                        all_known = false;
-                        break 'rows;
-                    }
-                }
-            }
-            out.push(mapped);
-        }
-        if all_known {
-            return out;
-        }
-    }
-    let mut symbols = state.symbols.write().unwrap();
-    rows.iter()
-        .map(|row| row.iter().map(|cell| symbols.intern(cell)).collect())
-        .collect()
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut batch = table.select(state.schema.clone(), &attrs);
+    share_symbols(state, &local, &mut batch);
+    Ok(batch)
 }
 
 /// JSON rows: either a bare array or `{"rows": [...]}`, each row an
 /// object with exactly the daemon schema's attributes as string values.
-fn parse_json_rows(state: &DaemonState, body: &str) -> Result<Vec<Vec<Symbol>>, SrvError> {
+fn parse_json_batch(state: &DaemonState, body: &str) -> Result<ColumnTable, SrvError> {
     let value = obs::json::parse(body).map_err(|e| bad_request(format!("json: {e}")))?;
     let rows_value = value.get("rows").unwrap_or(&value);
     let items = rows_value.as_arr().ok_or_else(|| {
         bad_request("expected a JSON array of row objects (or {\"rows\": [...]})")
     })?;
-    let mut rows = Vec::with_capacity(items.len());
+    let mut local = SymbolTable::new();
+    let mut batch = ColumnTable::with_capacity(state.schema.clone(), items.len());
+    let mut row = Vec::with_capacity(state.schema.arity());
     for (i, item) in items.iter().enumerate() {
         let obj = item
             .as_obj()
@@ -802,17 +763,49 @@ fn parse_json_rows(state: &DaemonState, body: &str) -> Result<Vec<Vec<Symbol>>, 
                 return Err(bad_request(format!("row {i}: unknown attribute {key:?}")));
             }
         }
-        let mut row = Vec::with_capacity(state.schema.arity());
+        row.clear();
         for name in state.schema.attr_names() {
             let cell = obj
                 .get(name)
                 .and_then(Json::as_str)
                 .ok_or_else(|| bad_request(format!("row {i}: missing attribute {name:?}")))?;
-            row.push(cell);
+            row.push(local.intern(cell));
         }
-        rows.push(row);
+        batch.push_row(&row).expect("one cell per schema attribute");
     }
-    Ok(intern_rows(state, &rows))
+    share_symbols(state, &local, &mut batch);
+    Ok(batch)
+}
+
+/// Map a batch interned into the request-local `local` onto the shared
+/// symbol table, one lookup per distinct value. Steady-state traffic
+/// (every value already interned by an earlier batch or the rule set)
+/// resolves under the read lock alone; only a batch carrying new values
+/// takes the write lock, and interns them in row-major schema order —
+/// the ids a single-table reader such as the streaming driver assigns,
+/// which the quality monitor's sketches (keyed by symbol id) depend on.
+fn share_symbols(state: &DaemonState, local: &SymbolTable, batch: &mut ColumnTable) {
+    let mut shared: Vec<Option<Symbol>> = {
+        let symbols = state.symbols.read().unwrap();
+        local.iter().map(|(_, value)| symbols.get(value)).collect()
+    };
+    if shared.contains(&None) {
+        let mut symbols = state.symbols.write().unwrap();
+        for i in 0..batch.len() {
+            for attr in state.schema.attr_ids() {
+                let sym = batch.cell(i, attr);
+                let slot = &mut shared[sym.index()];
+                if slot.is_none() {
+                    *slot = Some(symbols.intern(local.resolve(sym)));
+                }
+            }
+        }
+    }
+    for col in batch.columns_mut() {
+        for sym in col.iter_mut() {
+            *sym = shared[sym.index()].expect("every local value occurs in the batch");
+        }
+    }
 }
 
 /// `t` plus exactly eight lowercase hex digits — the shape every
@@ -862,70 +855,48 @@ fn handle_repair(
             ("trace_id", Json::from(trace_id.as_str())),
         ]),
     );
-    let mut rows = parse_rows(state, request)?;
+    let mut batch = parse_batch(state, request)?;
     // One bundle snapshot for the whole batch: a concurrent hot-swap must
     // never mix old-rules plans with new-rules attribution mid-request.
     let bundle = state.bundle();
-    let row_base = state.rows_served.fetch_add(rows.len(), Ordering::SeqCst);
+    let row_base = state.rows_served.fetch_add(batch.len(), Ordering::SeqCst);
     let metrics = MetricsObserver::new(&state.registry);
     let provenance = ProvenanceObserver::new(&bundle.rules, &state.ledger);
-    let observer = Tee(&metrics, &provenance);
-    let mut repaired_rows = 0usize;
+    // The quality monitor rides the core's hooks, which hand it each
+    // row's incoming values right before that row's fixes — so every
+    // repair lands in the window that observed its row.
+    let quality: &dyn RepairObserver = match &state.quality {
+        Some(quality) => quality,
+        None => &obs::NoopObserver,
+    };
+    let observer = Tee(&Tee(&metrics, &provenance), quality);
     let repair_started = Instant::now();
-    let all_updates = {
+    let (all_updates, repaired_rows) = {
         let repair_span = state.journal.span("repair", span.id());
-        // `rows` keeps the pre-repair values until the quality replay
-        // below has scored the incoming distribution.
-        let all_updates = repair_batch(state, &bundle, scratch, &rows, row_base, &observer);
-        // Replay the fix stream per row for the quality monitor, which
-        // attributes repairs to the window that observed the row — so
-        // each row's `row_observed` (on the *incoming* values) must
-        // immediately precede its `cell_repaired`s, exactly as the grouped
-        // core emits them to a monitor that wants rows.
-        let mut pre: Vec<u32> = Vec::with_capacity(state.schema.arity());
-        let mut cursor = 0usize;
-        for (i, row) in rows.iter().enumerate() {
-            if let Some(quality) = &state.quality {
-                pre.clear();
-                pre.extend(row.iter().map(|s| s.0));
-                quality.row_observed(&pre);
-            }
-            let start = cursor;
-            while cursor < all_updates.len() && all_updates[cursor].row == row_base + i {
-                cursor += 1;
-            }
-            if start == cursor {
-                continue;
-            }
+        let all_updates = repair_batch(state, &bundle, scratch, &mut batch, row_base, &observer);
+        // Row-level detail is sampled: a large dirty batch would
+        // otherwise append thousands of journal records per request
+        // (one global mutex hit each) and grow the in-memory journal
+        // without bound under sustained traffic. The request.end
+        // record always carries the exact totals.
+        let mut repaired_rows = 0usize;
+        let mut rest = &all_updates[..];
+        while let Some(first) = rest.first() {
+            let updates = rest.iter().take_while(|u| u.row == first.row).count();
             repaired_rows += 1;
-            if let Some(quality) = &state.quality {
-                for (ordinal, update) in all_updates[start..cursor].iter().enumerate() {
-                    quality.cell_repaired(update.as_fix(ordinal));
-                }
-            }
-            // Row-level detail is sampled: a large dirty batch would
-            // otherwise append thousands of journal records per request
-            // (one global mutex hit each) and grow the in-memory journal
-            // without bound under sustained traffic. The request.end
-            // record always carries the exact totals.
             if repaired_rows <= state.trace_sample {
                 state.journal.event(
                     "row.repaired",
                     repair_span.id(),
                     Json::obj([
-                        ("row", Json::from(row_base + i)),
-                        ("updates", Json::from(cursor - start)),
+                        ("row", Json::from(first.row)),
+                        ("updates", Json::from(updates)),
                     ]),
                 );
             }
+            rest = &rest[updates..];
         }
-        // Apply the fixes to the row-major batch for the response (the
-        // updates are in application order per row, so the last write to
-        // a cell wins — the same final value the columns hold).
-        for update in &all_updates {
-            rows[update.row - row_base][update.attr.index()] = update.new;
-        }
-        all_updates
+        (all_updates, repaired_rows)
     };
     // Stage-level latency: end-to-end `http.latency_ns` is dominated by
     // transport and (de)serialization, so the plan-cache effect is only
@@ -946,13 +917,18 @@ fn handle_repair(
                 "rows_sampled",
                 Json::from(repaired_rows.min(state.trace_sample)),
             ),
-            ("rows", Json::from(rows.len())),
+            ("rows", Json::from(batch.len())),
             ("updates", Json::from(all_updates.len())),
         ]),
     );
-    let updates_json: Vec<Json> = {
-        let symbols = state.symbols.read().unwrap();
-        all_updates
+    let symbols = state.symbols.read().unwrap();
+    let response = if request.query.contains("format=csv") {
+        let mut csv = Vec::new();
+        csv_io::write_csv(&mut csv, &batch, &symbols)
+            .map_err(|e| SrvError::new(500, format!("csv: {e}")))?;
+        Response::new(200, "text/csv; charset=utf-8", csv)
+    } else {
+        let updates_json: Vec<Json> = all_updates
             .iter()
             .map(|update| {
                 Json::obj([
@@ -964,18 +940,14 @@ fn handle_repair(
                     ("rule", Json::from(update.rule.index())),
                 ])
             })
-            .collect()
-    };
-    let response = if request.query.contains("format=csv") {
-        Response::new(200, "text/csv; charset=utf-8", render_csv(state, &rows))
-    } else {
-        let symbols = state.symbols.read().unwrap();
-        let rows_json: Vec<Json> = rows
-            .iter()
-            .map(|row| {
+            .collect();
+        let rows_json: Vec<Json> = (0..batch.len())
+            .map(|i| {
                 Json::Arr(
-                    row.iter()
-                        .map(|&sym| Json::from(symbols.resolve(sym)))
+                    state
+                        .schema
+                        .attr_ids()
+                        .map(|attr| Json::from(symbols.resolve(batch.cell(i, attr))))
                         .collect(),
                 )
             })
@@ -999,19 +971,6 @@ fn handle_repair(
     Ok(response.with_header("X-Trace-Id", &trace_id))
 }
 
-fn render_csv(state: &DaemonState, rows: &[Vec<Symbol>]) -> Vec<u8> {
-    let symbols = state.symbols.read().unwrap();
-    let mut out = String::new();
-    out.push_str(&state.schema.attr_names().collect::<Vec<_>>().join(","));
-    out.push('\n');
-    for row in rows {
-        let cells: Vec<&str> = row.iter().map(|&sym| symbols.resolve(sym)).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    }
-    out.into_bytes()
-}
-
 /// Dry-run repair: same parsing and the same shared plan cache (a check
 /// warms plans for the repair that follows), but nothing is recorded —
 /// no ledger rows, no global row ids.
@@ -1030,10 +989,10 @@ fn handle_check(
             ("trace_id", Json::from(trace_id.as_str())),
         ]),
     );
-    let rows = parse_rows(state, request)?;
+    let mut batch = parse_batch(state, request)?;
     let bundle = state.bundle();
-    let updates = repair_batch(state, &bundle, scratch, &rows, 0, &obs::NoopObserver);
-    let mut counts = vec![0usize; rows.len()];
+    let updates = repair_batch(state, &bundle, scratch, &mut batch, 0, &obs::NoopObserver);
+    let mut counts = vec![0usize; batch.len()];
     for update in &updates {
         counts[update.row] += 1;
     }
@@ -1045,14 +1004,14 @@ fn handle_check(
         span.id(),
         Json::obj([
             ("dirty_rows", Json::from(dirty_rows)),
-            ("rows", Json::from(rows.len())),
+            ("rows", Json::from(batch.len())),
         ]),
     );
     let body = Json::obj([
         ("clean", Json::from(dirty_rows == 0)),
         ("dirty_rows", Json::from(dirty_rows)),
         ("per_row", Json::Arr(per_row)),
-        ("rows", Json::from(rows.len())),
+        ("rows", Json::from(batch.len())),
         ("total_updates", Json::from(total_updates)),
         ("trace_id", Json::from(trace_id.as_str())),
     ]);

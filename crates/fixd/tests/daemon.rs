@@ -124,6 +124,31 @@ fn accepts_json_rows_and_reordered_csv_columns() {
     daemon.shutdown();
 }
 
+/// `?format=csv` renders the reply through the CSV writer: a value with
+/// a comma or a quote comes back quoted and parses to the cells sent.
+#[test]
+fn csv_reply_quotes_commas_and_quotes() {
+    let daemon = daemon();
+    let body = r#"[{"zip":"36545","city":"Jaxon, North","state":"A\"K"}]"#;
+    let reply = http_request(
+        "POST",
+        &url(&daemon, "/repair?format=csv"),
+        "application/json",
+        body.as_bytes(),
+    )
+    .unwrap();
+    assert_eq!(reply.status, 200);
+    let mut symbols = relation::SymbolTable::new();
+    let table = relation::csv_io::read_csv(reply.body.as_bytes(), "reply", &mut symbols)
+        .unwrap_or_else(|e| panic!("reply {:?} must parse as CSV: {e}", reply.body));
+    assert_eq!(table.len(), 1);
+    assert_eq!(
+        table.row_strs(&symbols, 0),
+        ["36545", "Jaxon, North", "A\"K"]
+    );
+    daemon.shutdown();
+}
+
 #[test]
 fn concurrent_batches_share_one_warm_plan_cache() {
     let daemon = daemon();
@@ -773,4 +798,65 @@ fn quality_gate_flips_readyz_only_when_opted_in() {
     let (status, _) = http_get(&url(&gated, "/healthz")).unwrap();
     assert_eq!(status, 200);
     gated.shutdown();
+}
+
+/// What the daemon's quality monitor sees: the rows of every batch in
+/// schema order with their pre-repair values, under the symbol ids a
+/// single-table reader assigns — so `GET /quality` equals the snapshot of
+/// a monitor fed by the streaming driver over the same rows, even when a
+/// batch reorders its columns and carries novel values.
+#[test]
+fn quality_snapshot_matches_a_stream_over_the_same_rows() {
+    use fixrules::repair::{stream_repair_csv, CompiledEngine, RuleProgram};
+    use obs::{QualityConfig, QualityMonitor};
+
+    let daemon = Daemon::start(DaemonConfig {
+        rules: RulesSource::Inline(RULES.to_string()),
+        threads: 1,
+        quality_window: 2,
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    let batches = [
+        "zip,city,state\n36545,Jaxon,AK\n10001,NYC,NJ\n10001,New York,NY\n",
+        "zip,city,state\n36545,Jackson Heights,AK\n99501,Anchorage,AK\n36545,Jaxon,AL\n",
+        "state,city,zip\nTX,Austin,73301\nNJ,New-York,10001\nWA,Seattle,98101\nAK,Jaxon,36545\n",
+    ];
+    for body in batches {
+        let reply = http_post(&url(&daemon, "/repair"), "text/csv", body.as_bytes()).unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+    }
+    let (status, served) = http_get(&url(&daemon, "/quality")).unwrap();
+    assert_eq!(status, 200);
+    daemon.shutdown();
+
+    // The same rows in schema order (zip, city, state), streamed.
+    let mut input = String::from("zip,city,state\n");
+    for body in &batches[..2] {
+        input.extend(body.lines().skip(1).map(|line| format!("{line}\n")));
+    }
+    for line in batches[2].lines().skip(1) {
+        let cells: Vec<&str> = line.split(',').collect();
+        input.push_str(&format!("{},{},{}\n", cells[2], cells[1], cells[0]));
+    }
+    let schema = fixrules::io::infer_schema(RULES, "R").unwrap();
+    let mut symbols = relation::SymbolTable::new();
+    let rules = fixrules::io::parse_rules(RULES, &schema, &mut symbols).unwrap();
+    let names = schema.attr_names().map(str::to_string).collect();
+    let monitor = QualityMonitor::new(QualityConfig::with_window(2), names);
+    stream_repair_csv(
+        &rules,
+        &RuleProgram::compile(&rules),
+        CompiledEngine::Chase,
+        None,
+        &mut symbols,
+        input.as_bytes(),
+        std::io::sink(),
+        1024,
+        &monitor,
+    )
+    .unwrap();
+    let mut snap = monitor.snapshot();
+    snap.set("enabled", true);
+    assert_eq!(served, format!("{}\n", snap.to_string_pretty()));
 }

@@ -5,8 +5,8 @@
 //! gathering into one tight integer scan per relevant attribute instead
 //! of a strided walk across full rows. [`ColumnTable`] is the lossless
 //! column-major twin of [`Table`]: conversion either way is a single
-//! pass over the cells and `Table::from(ColumnTable::from(t)) == t`
-//! cell for cell.
+//! pass over the cells and `ColumnTable::from(t).to_table() == t` cell
+//! for cell.
 
 use crate::{AttrId, RelationError, Result, Schema, Symbol, Table};
 
@@ -110,27 +110,28 @@ impl ColumnTable {
         &self.columns[attr.index()]
     }
 
-    /// Borrow every column at once (index = attribute index).
-    pub fn columns(&self) -> Vec<&[Symbol]> {
-        self.columns.iter().map(Vec::as_slice).collect()
-    }
-
     /// Borrow every column mutably at once (index = attribute index).
     pub fn columns_mut(&mut self) -> Vec<&mut [Symbol]> {
         self.columns.iter_mut().map(Vec::as_mut_slice).collect()
     }
 
-    /// Copy row `i` into `buf` (cleared first), in attribute order.
-    pub fn gather_row(&self, i: usize, buf: &mut Vec<Symbol>) {
-        buf.clear();
-        buf.extend(self.columns.iter().map(|col| col[i]));
+    /// Rebind the columns to `schema`, moving (not copying) this table's
+    /// column `attrs[k]` into column `k` — how a batch whose columns
+    /// arrived in another order is put into `schema`'s order. `attrs`
+    /// must name distinct attributes, one per attribute of `schema`.
+    pub fn select(mut self, schema: Schema, attrs: &[AttrId]) -> ColumnTable {
+        assert_eq!(attrs.len(), schema.arity(), "one column per attribute");
+        let columns = attrs
+            .iter()
+            .map(|a| std::mem::take(&mut self.columns[a.index()]))
+            .collect();
+        ColumnTable { schema, columns }
     }
 
     /// Split the table into disjoint horizontal chunks of at most
     /// `chunk_rows` rows each (the last chunk may be shorter). Each chunk
     /// is a per-attribute list of mutable column slices, so chunks can be
-    /// handed to worker threads for parallel grouped repair — the columnar
-    /// analogue of [`Table::rows_mut_chunks`].
+    /// handed to worker threads for parallel grouped repair.
     pub fn columns_mut_chunks(&mut self, chunk_rows: usize) -> Vec<Vec<&mut [Symbol]>> {
         let chunk_rows = chunk_rows.max(1);
         let num_chunks = self.len().div_ceil(chunk_rows);
@@ -149,12 +150,6 @@ impl ColumnTable {
 impl From<&Table> for ColumnTable {
     fn from(table: &Table) -> Self {
         ColumnTable::from_table(table)
-    }
-}
-
-impl From<&ColumnTable> for Table {
-    fn from(table: &ColumnTable) -> Self {
-        table.to_table()
     }
 }
 

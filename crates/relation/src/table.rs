@@ -125,14 +125,6 @@ impl Table {
         self.cells.chunks_exact(self.schema.arity().max(1))
     }
 
-    /// Split the table into mutable chunks of at most `chunk_rows` rows
-    /// each (the last chunk may be shorter). Chunks are disjoint, so they
-    /// can be handed to worker threads for parallel per-tuple repair.
-    pub fn rows_mut_chunks(&mut self, chunk_rows: usize) -> impl Iterator<Item = &mut [Symbol]> {
-        let a = self.schema.arity().max(1);
-        self.cells.chunks_mut(chunk_rows.max(1) * a)
-    }
-
     /// Resolve a row back to strings (for display / CSV output).
     pub fn row_strs<'a>(&'a self, symbols: &'a SymbolTable, i: usize) -> Vec<&'a str> {
         self.row(i).iter().map(|&s| symbols.resolve(s)).collect()

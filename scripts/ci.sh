@@ -183,7 +183,29 @@ cmp "$TRACE_DIR/eng_stream.csv" "$GOLDEN/hosp_dup.repaired.csv" \
     || { echo "stream output differs from the oracle golden" >&2; exit 1; }
 cmp "$TRACE_DIR/eng_quality.json" "$GOLDEN/hosp_dup.quality.json" \
     || { echo "stream quality snapshot differs from the oracle golden" >&2; exit 1; }
-echo "-- table and stream runs match the lRepair oracle goldens"
+# The daemon's request path (CSV in, columns, CSV reply) must render the
+# same repaired bytes.
+"$FIXCTL" serve \
+    --rules examples/rulesets/hosp_zip.frl \
+    --schema zip,city,state > "$TRACE_DIR/golden_fixd.log" &
+GOLDEN_FIXD_PID=$!
+GOLDEN_ADDR=""
+for _ in $(seq 1 100); do
+    GOLDEN_ADDR=$(grep -o 'http://[0-9.:]*' "$TRACE_DIR/golden_fixd.log" || true)
+    [ -n "$GOLDEN_ADDR" ] && break
+    sleep 0.05
+done
+[ -n "$GOLDEN_ADDR" ] \
+    || { kill "$GOLDEN_FIXD_PID"; echo "fixctl serve never announced its address" >&2; exit 1; }
+"$FIXCTL" client repair "$TRACE_DIR/hosp_dup.csv" --addr "$GOLDEN_ADDR" --format csv \
+    > "$TRACE_DIR/eng_fixd.csv" 2>/dev/null \
+    || { kill "$GOLDEN_FIXD_PID"; echo "fixd POST /repair?format=csv failed" >&2; exit 1; }
+"$FIXCTL" client shutdown --addr "$GOLDEN_ADDR" >/dev/null
+wait "$GOLDEN_FIXD_PID" \
+    || { echo "fixd exited nonzero after graceful shutdown" >&2; exit 1; }
+cmp "$TRACE_DIR/eng_fixd.csv" "$GOLDEN/hosp_dup.repaired.csv" \
+    || { echo "fixd CSV reply differs from the oracle golden" >&2; exit 1; }
+echo "-- table, stream and daemon runs match the lRepair oracle goldens"
 
 echo "== attribution profile determinism smoke =="
 # Two identical --profile-json runs must be byte-identical: the profile
