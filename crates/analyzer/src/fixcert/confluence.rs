@@ -27,7 +27,7 @@ use fixrules::consistency::enumerate::{candidate_values, enumeration_size, WILDC
 use fixrules::consistency::{conflict_witness, is_consistent_characterize};
 use fixrules::repair::{run_engine, CellUpdate, CompiledEngine, CompiledScratch, RuleProgram};
 use fixrules::RuleSet;
-use obs::RepairObserver;
+use obs::{RepairEvent, RepairObserver};
 use relation::{Symbol, SymbolTable};
 
 use crate::diagnostic::{Code, Diagnostic};
@@ -93,7 +93,7 @@ pub(crate) fn run<O: RepairObserver>(
             continue;
         };
         summary.witness_runs += 1;
-        observer.cert_witness_run();
+        observer.on(RepairEvent::CertWitnessRun);
         let (run_a, run_b) = chase_both_orders(rules, i, j, &witness.tuple);
         // The pair conflicts, but the surrounding rules can mask the
         // divergence under these two particular orders; fall back to the
@@ -135,7 +135,7 @@ pub(crate) fn run<O: RepairObserver>(
             let mut violation = None;
             for tuple in candidate_tuples(rules, i, j) {
                 summary.witness_runs += 1;
-                observer.cert_witness_run();
+                observer.on(RepairEvent::CertWitnessRun);
                 let (run_a, run_b) = chase_both_orders(rules, i, j, &tuple);
                 if run_a.end != run_b.end {
                     violation = Some((tuple, run_a, run_b));
@@ -152,7 +152,9 @@ pub(crate) fn run<O: RepairObserver>(
         }
     }
 
-    observer.cert_pair_checked(summary.pairs_checked);
+    observer.on(RepairEvent::CertPairsChecked {
+        pairs: summary.pairs_checked,
+    });
     (summary, diags)
 }
 

@@ -30,7 +30,7 @@ pub use graph::InteractionGraph;
 
 use fixrules::consistency::is_consistent_characterize;
 use fixrules::RuleSet;
-use obs::{Json, NoopObserver, RepairObserver};
+use obs::{Json, NoopObserver, RepairEvent, RepairObserver};
 use relation::SymbolTable;
 
 use crate::diagnostic::{Code, Diagnostic};
@@ -93,13 +93,19 @@ impl Certificate {
         self.report.errors() == 0
     }
 
-    /// Feed one `cert_finding` per diagnostic plus the final verdict into
-    /// an observer (the CLI and `fixd` wire this to the `cert.*` metrics).
+    /// Feed one `CertFinding` event per diagnostic plus the final verdict
+    /// into an observer (the CLI and `fixd` wire this to the `cert.*`
+    /// metrics).
     pub fn observe<O: RepairObserver>(&self, observer: &O) {
         for diag in &self.report.diagnostics {
-            observer.cert_finding(diag.code.as_str(), diag.severity.as_str());
+            observer.on(RepairEvent::CertFinding {
+                code: diag.code.as_str(),
+                severity: diag.severity.as_str(),
+            });
         }
-        observer.cert_completed(self.is_certified());
+        observer.on(RepairEvent::CertCompleted {
+            certified: self.is_certified(),
+        });
     }
 
     /// The certificate as a JSON document:
@@ -141,8 +147,8 @@ pub fn certify(
     certify_observed(rules, spans, symbols, opts, &NoopObserver)
 }
 
-/// [`certify`] with observer hooks (`cert_pair_checked`,
-/// `cert_witness_run` — the per-finding and verdict hooks fire from
+/// [`certify`] with observer events (`CertPairsChecked`,
+/// `CertWitnessRun` — the per-finding and verdict events fire from
 /// [`Certificate::observe`], which callers invoke once per report sink).
 pub fn certify_observed<O: RepairObserver>(
     rules: &RuleSet,

@@ -188,11 +188,14 @@ impl LintReport {
         self.diagnostics.iter().filter(|d| deny.is_fatal(d)).count()
     }
 
-    /// Feed one `lint_finding` per diagnostic into an observer (the CLI
-    /// wires this to the `lint.findings*` metrics).
+    /// Feed one `LintFinding` event per diagnostic into an observer (the
+    /// CLI wires this to the `lint.findings*` metrics).
     pub fn observe<O: obs::RepairObserver>(&self, observer: &O) {
         for diag in &self.diagnostics {
-            observer.lint_finding(diag.code.as_str(), diag.severity.as_str());
+            observer.on(obs::RepairEvent::LintFinding {
+                code: diag.code.as_str(),
+                severity: diag.severity.as_str(),
+            });
         }
     }
 

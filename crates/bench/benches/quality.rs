@@ -5,7 +5,7 @@
 //! in-memory CSV, with `fixctl`'s stream defaults (1024-record batches,
 //! a fresh 4096-plan LRU per iteration):
 //!
-//! * `unmonitored` — [`obs::NoopObserver`]: the `wants_rows` gate keeps
+//! * `unmonitored` — [`obs::NoopObserver`]: the `Interest::ROWS` gate keeps
 //!   the grouped core from even copying the pre-repair row, so this is
 //!   the true zero-cost baseline;
 //! * `monitored/256` / `monitored/1024` — a fresh [`QualityMonitor`]

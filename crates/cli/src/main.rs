@@ -88,8 +88,8 @@ use fixrules::RuleSet;
 use obs::trace::{chrome_trace, parse_jsonl, TracePhase, TraceSpan};
 use obs::{
     http_get, parse_prometheus, render_snapshot, AlertRule, AttributionObserver, Json,
-    MetricsObserver, MetricsRegistry, MetricsServer, QualityConfig, QualityMonitor, RepairObserver,
-    RuleLabel, Tee, TraceClock, TraceJournal,
+    MetricsObserver, MetricsRegistry, MetricsServer, QualityConfig, QualityMonitor, RepairEvent,
+    RepairObserver, RuleLabel, Tee, TraceClock, TraceJournal,
 };
 use relation::csv_io::{read_csv_file_as, write_csv_file, CsvTable, CsvWriter};
 use relation::{ColumnTable, Schema, Symbol, SymbolTable, Table};
@@ -341,10 +341,8 @@ fn cmd_lint(positional: Option<&str>, flags: &Flags, obs_ctx: &ObsCtx) -> Result
     let schema = if let Some(names) = flags.optional("schema") {
         relation::Schema::new("R", names.split(',').map(str::trim)).map_err(|e| e.to_string())?
     } else if let Some(data_path) = flags.optional("data") {
-        relation::csv_io::read_csv_file(data_path, "data", &mut symbols)
+        relation::csv_io::read_csv_schema(data_path, "data")
             .map_err(|e| format!("reading {data_path}: {e}"))?
-            .schema()
-            .clone()
     } else {
         match fixrules::io::infer_schema(&text, "R") {
             Ok(schema) => schema,
@@ -406,10 +404,8 @@ fn cmd_certify(
     let schema = if let Some(names) = flags.optional("schema") {
         relation::Schema::new("R", names.split(',').map(str::trim)).map_err(|e| e.to_string())?
     } else if let Some(data_path) = flags.optional("data") {
-        relation::csv_io::read_csv_file(data_path, "data", &mut symbols)
+        relation::csv_io::read_csv_schema(data_path, "data")
             .map_err(|e| format!("reading {data_path}: {e}"))?
-            .schema()
-            .clone()
     } else {
         match fixrules::io::infer_schema(&text, "R") {
             Ok(schema) => schema,
@@ -815,7 +811,7 @@ fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             // candidate space is small enough; each one is counted in the
             // `consistency.witness_found` metric.
             if let Some(w) = conflict_witness(&rules, c, 4096) {
-                obs_ctx.observer.witness_found();
+                obs_ctx.observer.on(RepairEvent::WitnessFound);
                 println!(
                     "    witness: ({}) can end as ({}) or ({})",
                     render_tuple(&w.tuple, &symbols),
@@ -1350,9 +1346,10 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let ledger = ProvenanceLedger::new();
     // Optional observers (provenance for `--trace`, attribution for
     // `--profile*`, quality for `--quality-window`) tee onto the metrics
-    // observer as trait objects. The blanket `impl RepairObserver for &T`
-    // lets the generic drivers take the assembled `&dyn` chain, instead of
-    // monomorphizing each Tee/no-Tee combination.
+    // observer as trait objects. `RepairObserver` is implemented for `&T`,
+    // so the generic drivers take the assembled `&dyn` chain (one virtual
+    // `on` call per event) instead of monomorphizing each Tee/no-Tee
+    // combination.
     let attribution = attribution_for(flags, obs_ctx, &rules);
     let prov = obs_ctx
         .journal

@@ -1052,6 +1052,37 @@ fn stream_reads_only_the_header_up_front() {
     assert!(!stderr.contains("reading"), "{stderr}");
 }
 
+/// `lint --data` and `certify --data` take only the schema from the CSV,
+/// so a malformed record past the header neither fails them nor changes
+/// their output.
+#[test]
+fn lint_and_certify_read_only_the_data_header() {
+    let dir = tmpdir("lint_ragged");
+    let clean = dir.join("clean.csv");
+    let ragged = dir.join("ragged.csv");
+    let rules = dir.join("r.frl");
+    std::fs::write(&clean, TRAVEL_CSV).unwrap();
+    // The third record is short two fields.
+    let mut lines: Vec<&str> = TRAVEL_CSV.lines().collect();
+    lines.insert(3, "Zoe,China,Beijing");
+    std::fs::write(&ragged, lines.join("\n") + "\n").unwrap();
+    std::fs::write(&rules, GOOD_RULES).unwrap();
+    for cmd in ["lint", "certify"] {
+        let run = |data: &PathBuf| {
+            fixctl(&[
+                cmd,
+                rules.to_str().unwrap(),
+                "--data",
+                data.to_str().unwrap(),
+            ])
+        };
+        let (ok, out) = (run(&clean), run(&ragged));
+        assert!(ok.status.success(), "{cmd}: {ok:?}");
+        assert!(out.status.success(), "{cmd} on a ragged file: {out:?}");
+        assert_eq!(out.stdout, ok.stdout, "{cmd}: output depends on data rows");
+    }
+}
+
 /// Flag validation: a bad capacity, threads on the stream, an unknown
 /// engine and a zero worker count are all rejected.
 #[test]

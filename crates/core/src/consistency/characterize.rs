@@ -82,8 +82,8 @@ pub fn is_consistent_characterize(rules: &RuleSet, max_conflicts: usize) -> Cons
     is_consistent_characterize_observed(rules, max_conflicts, &obs::NoopObserver)
 }
 
-/// [`is_consistent_characterize`] with observer hooks (`pairs_checked`,
-/// one `conflict_found` per conflicting pair).
+/// [`is_consistent_characterize`] with observer events (`PairsChecked`,
+/// one `ConflictFound` per conflicting pair).
 pub fn is_consistent_characterize_observed<O: obs::RepairObserver>(
     rules: &RuleSet,
     max_conflicts: usize,

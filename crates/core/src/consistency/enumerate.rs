@@ -98,8 +98,8 @@ pub fn is_consistent_enumerate(rules: &RuleSet, max_conflicts: usize) -> Consist
     is_consistent_enumerate_observed(rules, max_conflicts, &obs::NoopObserver)
 }
 
-/// [`is_consistent_enumerate`] with observer hooks (`pairs_checked`, one
-/// `conflict_found` per conflicting pair).
+/// [`is_consistent_enumerate`] with observer events (`PairsChecked`, one
+/// `ConflictFound` per conflicting pair).
 pub fn is_consistent_enumerate_observed<O: obs::RepairObserver>(
     rules: &RuleSet,
     max_conflicts: usize,

@@ -83,11 +83,15 @@ impl ConsistencyReport {
     }
 
     /// Feed this run's counts into an observer: total pairs examined, one
-    /// `conflict_found` per conflict (tagged with its Fig 4 case name).
+    /// `ConflictFound` per conflict (tagged with its Fig 4 case name).
     pub fn observe<O: obs::RepairObserver>(&self, observer: &O) {
-        observer.pairs_checked(self.pairs_checked);
+        observer.on(obs::RepairEvent::PairsChecked {
+            pairs: self.pairs_checked,
+        });
         for conflict in &self.conflicts {
-            observer.conflict_found(conflict.case.name());
+            observer.on(obs::RepairEvent::ConflictFound {
+                case: conflict.case.name(),
+            });
         }
     }
 
@@ -213,8 +217,8 @@ pub fn is_consistent_parallel(rules: &RuleSet, num_threads: usize) -> Consistenc
     is_consistent_parallel_observed(rules, num_threads, &obs::NoopObserver)
 }
 
-/// [`is_consistent_parallel`] with observer hooks (`pairs_checked`, one
-/// `conflict_found` for the winning conflict, as in the sequential
+/// [`is_consistent_parallel`] with observer events (`PairsChecked`, one
+/// `ConflictFound` for the winning conflict, as in the sequential
 /// checker).
 pub fn is_consistent_parallel_observed<O: obs::RepairObserver>(
     rules: &RuleSet,

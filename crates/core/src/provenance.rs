@@ -14,16 +14,16 @@
 //! ([`chain`]).
 //!
 //! The drivers feed the ledger through the value-carrying
-//! `cell_repaired` observer hook; wrap the ledger in a
+//! `CellRepaired` observer event; wrap the ledger in a
 //! [`ProvenanceObserver`] (which knows the rule set and expands rule ids
 //! into evidence bindings) and pass it to any `*_observed` entry point.
-//! As with every observer, the hook monomorphizes to nothing under
+//! As with every observer, the event monomorphizes to nothing under
 //! `NoopObserver` — untraced repairs pay zero cost.
 
 use std::fmt;
 use std::sync::Mutex;
 
-use obs::{CellFix, Json, RepairObserver};
+use obs::{Json, RepairEvent, RepairObserver};
 use relation::{AttrId, AttrSet, Schema, Symbol, SymbolTable, Table};
 
 use crate::ruleset::{RuleId, RuleSet};
@@ -287,10 +287,11 @@ pub fn chain(records: &[ProvenanceRecord], attr: AttrId) -> Vec<usize> {
     (0..records.len()).filter(|&i| included[i]).collect()
 }
 
-/// A [`RepairObserver`] that expands `cell_repaired` hook payloads into
-/// full [`ProvenanceRecord`]s. Holds the rule set so the plain rule id in
-/// the hook can be expanded into evidence bindings and the assured-set
-/// delta (kept out of the hook itself so `obs` stays a leaf crate).
+/// A [`RepairObserver`] that expands [`RepairEvent::CellRepaired`]
+/// payloads into full [`ProvenanceRecord`]s. Holds the rule set so the
+/// plain rule id in the event can be expanded into evidence bindings and
+/// the assured-set delta (kept out of the event itself so `obs` stays a
+/// leaf crate).
 #[derive(Debug)]
 pub struct ProvenanceObserver<'a> {
     rules: &'a RuleSet,
@@ -305,7 +306,10 @@ impl<'a> ProvenanceObserver<'a> {
 }
 
 impl RepairObserver for ProvenanceObserver<'_> {
-    fn cell_repaired(&self, fix: CellFix) {
+    fn on(&self, event: RepairEvent<'_>) {
+        let RepairEvent::CellRepaired(fix) = event else {
+            return;
+        };
         let rule_id = RuleId(fix.rule as u32);
         let rule = self.rules.rule(rule_id);
         self.ledger.record(ProvenanceRecord {

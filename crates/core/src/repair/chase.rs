@@ -5,10 +5,10 @@
 //! new attribute, so the outer loop runs at most `|R|` times and the whole
 //! tuple costs `O(size(Σ)·|R|)`.
 
-use obs::{NoopObserver, RepairObserver};
+use obs::{Interest, NoopObserver, RepairEvent, RepairObserver};
 use relation::{AttrSet, Symbol, Table};
 
-use crate::repair::{CellUpdate, RepairOutcome};
+use crate::repair::{emit_rule_latency, CellUpdate, RepairOutcome};
 use crate::ruleset::{RuleId, RuleSet};
 use crate::semantics::{matches, properly_applicable};
 
@@ -18,8 +18,8 @@ pub fn crepair_tuple(rules: &RuleSet, row: &mut [Symbol]) -> Vec<CellUpdate> {
     crepair_tuple_observed(rules, row, &NoopObserver)
 }
 
-/// [`crepair_tuple`] with observer hooks: one `chase_round` per outer scan
-/// of Γ, `rule_applied` per fired rule, `tuple_done` at fixpoint. With
+/// [`crepair_tuple`] with observer events: one `ChaseRound` per outer scan
+/// of Γ, `RuleApplied` per fired rule, `TuplesDone` at fixpoint. With
 /// [`NoopObserver`] this monomorphizes to the unobserved hot path.
 pub fn crepair_tuple_observed<O: RepairObserver>(
     rules: &RuleSet,
@@ -35,21 +35,19 @@ pub fn crepair_tuple_observed<O: RepairObserver>(
     let mut updated = true;
     // Per-rule latency is opt-in: under NoopObserver the Instant pair and
     // the rejection hook fold away with the rest of the instrumentation.
-    let timing = observer.wants_rule_timing();
+    let timing = observer.interest().contains(Interest::RULE_TIMING);
     while updated {
         updated = false;
         rounds += 1;
-        observer.chase_round();
+        observer.on(RepairEvent::ChaseRound);
         for (i, rule) in rules.rules().iter().enumerate() {
             if !unused[i] {
                 continue; // already fired — not an evaluation
             }
             let t0 = timing.then(std::time::Instant::now);
             if assured.contains(rule.b()) || !matches(rule, row) {
-                observer.rule_rejected(i);
-                if let Some(t0) = t0 {
-                    observer.rule_latency(i, t0.elapsed().as_nanos() as u64);
-                }
+                observer.on(RepairEvent::RuleRejected { rule: i });
+                emit_rule_latency(observer, i, t0);
                 continue;
             }
             debug_assert!(properly_applicable(rule, row, assured));
@@ -59,10 +57,11 @@ pub fn crepair_tuple_observed<O: RepairObserver>(
             assured.union_with(rule.assured_delta());
             unused[i] = false;
             updated = true;
-            observer.rule_applied(i, b.index());
-            if let Some(t0) = t0 {
-                observer.rule_latency(i, t0.elapsed().as_nanos() as u64);
-            }
+            observer.on(RepairEvent::RuleApplied {
+                rule: i,
+                attr: b.index(),
+            });
+            emit_rule_latency(observer, i, t0);
             updates.push(CellUpdate {
                 row: 0,
                 attr: b,
@@ -73,7 +72,11 @@ pub fn crepair_tuple_observed<O: RepairObserver>(
             });
         }
     }
-    observer.tuple_done(rounds, updates.len());
+    observer.on(RepairEvent::TuplesDone {
+        rounds,
+        updates: updates.len(),
+        count: 1,
+    });
     updates
 }
 
@@ -82,8 +85,8 @@ pub fn crepair_table(rules: &RuleSet, table: &mut Table) -> RepairOutcome {
     crepair_table_observed(rules, table, &NoopObserver)
 }
 
-/// [`crepair_table`] with observer hooks; additionally emits one
-/// `cell_repaired` per applied update (the table driver knows the row
+/// [`crepair_table`] with observer events; additionally emits one
+/// `CellRepaired` per applied update (the table driver knows the row
 /// index; the per-tuple algorithm doesn't).
 pub fn crepair_table_observed<O: RepairObserver>(
     rules: &RuleSet,
@@ -99,7 +102,7 @@ pub fn crepair_table_observed<O: RepairObserver>(
         let mut ups = crepair_tuple_observed(rules, table.row_mut(i), observer);
         for (k, u) in ups.iter_mut().enumerate() {
             u.row = i;
-            observer.cell_repaired(u.as_fix(k));
+            observer.on(RepairEvent::CellRepaired(u.as_fix(k)));
         }
         outcome.updates.extend(ups);
     }

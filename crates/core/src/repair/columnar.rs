@@ -14,15 +14,15 @@
 //! instead of `n`, on top of the cross-batch [`PlanCache`] replay.
 //!
 //! **Output equivalence.** Rows are visited in ascending order and each
-//! row emits the hooks a row-at-a-time driver would: a group's first row
+//! row emits the events a row-at-a-time driver would: a group's first row
 //! behaves like a plan-cache miss (or hit, when a previous batch already
 //! memoized the signature), and member rows replay the plan with one
-//! `rule_applied`/`plan_replayed` pair per fix — minus the cache probe,
-//! and with the members' `tuple_done`s coalesced into one
-//! [`RepairObserver::tuples_done`] per group (identical call multiset, so
-//! every final counter and histogram matches; per-call observer cost for
-//! a clean duplicate row drops to zero). Crucially `row_observed` and
-//! `cell_repaired` are still emitted per row in the identical
+//! `RuleApplied`/`PlanReplayed` pair per fix — minus the cache probe,
+//! and with the members' tuple completions coalesced into one
+//! [`RepairEvent::TuplesDone`] per group (same total count, so every
+//! final counter and histogram matches; per-event observer cost for a
+//! clean duplicate row drops to zero). Crucially `RowObserved` and
+//! `CellRepaired` are still emitted per row in the identical
 //! `(row, ordinal)` order, so ledgers, quality windows, repaired tables
 //! and output CSV are byte-identical to the oracles (pinned by
 //! proptests); only the engine-work counters (`repair.plan.*` probes
@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use fxhash::FxHashMap;
-use obs::RepairObserver;
+use obs::{Interest, RepairEvent, RepairObserver};
 use relation::{AttrSet, ColumnTable, Symbol};
 
 use crate::repair::compile::{
@@ -66,9 +66,9 @@ impl BatchStats {
 }
 
 /// Scatter a group's plan onto row `i` of the columns, emitting the
-/// per-fix hooks a [`PlanCache`] replay does. The caller accounts for
-/// `tuple_done` — per rep for group representatives, coalesced into one
-/// [`RepairObserver::tuples_done`] per group for scattered members.
+/// per-fix events a [`PlanCache`] replay does. The caller accounts for
+/// [`RepairEvent::TuplesDone`] — one per group representative, and one
+/// coalesced event per group for its scattered members.
 fn scatter_plan<O: RepairObserver>(
     plan: &RepairPlan,
     cols: &mut [&mut [Symbol]],
@@ -82,8 +82,9 @@ fn scatter_plan<O: RepairObserver>(
             "plan scattered onto a row with a different signature"
         );
         cols[u.attr.index()][i] = u.new;
-        observer.rule_applied(u.rule.index(), u.attr.index());
-        observer.plan_replayed(u.rule.index(), u.attr.index());
+        let (rule, attr) = (u.rule.index(), u.attr.index());
+        observer.on(RepairEvent::RuleApplied { rule, attr });
+        observer.on(RepairEvent::PlanReplayed { rule, attr });
     }
 }
 
@@ -103,7 +104,11 @@ fn run_group_rep<O: RepairObserver>(
     row_buf.clear();
     row_buf.extend(cols.iter().map(|c| c[i]));
     let (updates, rounds) = run_engine(rules, program, engine, scratch, row_buf, observer);
-    observer.tuple_done(rounds, updates.len());
+    observer.on(RepairEvent::TuplesDone {
+        rounds,
+        updates: updates.len(),
+        count: 1,
+    });
     for u in &updates {
         cols[u.attr.index()][i] = u.new;
     }
@@ -117,10 +122,11 @@ fn run_group_rep<O: RepairObserver>(
 /// drivers (and by servers that hold raw column buffers): repair `cols`
 /// (one mutable slice per attribute, all the same length) in place,
 /// returning updates re-indexed from `base_row` plus the batch's
-/// group-by shape. When the observer answers `wants_rows`, each row's
-/// *pre-repair* symbol ids go to `row_observed` right before that row's
-/// fixes, so a quality monitor attributes every repair to the window
-/// that saw the row. Emits one `batch_grouped` hook per non-empty batch.
+/// group-by shape. When the observer's interest includes
+/// [`Interest::ROWS`], each row's *pre-repair* symbol ids go out as
+/// `RowObserved` right before that row's fixes, so a quality monitor
+/// attributes every repair to the window that saw the row. Emits one
+/// `BatchGrouped` event per non-empty batch.
 /// The columns must follow the attribute order of `rules`' schema.
 #[allow(clippy::too_many_arguments)]
 pub fn repair_columns_grouped<O: RepairObserver>(
@@ -192,26 +198,25 @@ pub fn repair_columns_grouped<O: RepairObserver>(
     // like the row driver's: a group's representative resolves its plan
     // (cache probe or engine run — its row is still pre-repair at that
     // point, because it is the group's first row), members scatter it.
-    // Scattered members' `tuple_done`s are coalesced: one `tuples_done`
-    // per group after the scan (all members share the plan's rounds and
-    // update count), so a clean duplicate row costs zero observer
-    // atomics instead of five. Only aggregating observers implement
-    // `tuple_done`, so the call multiset — and every final counter — is
-    // unchanged; `cell_repaired` stays strictly per-row and in order.
+    // Scattered members' tuple completions are coalesced: one
+    // `TuplesDone` per group after the scan (all members share the plan's
+    // rounds and update count), so a clean duplicate row costs zero
+    // observer atomics instead of five. Every final counter is unchanged;
+    // `CellRepaired` stays strictly per-row and in order.
     let groups = reps.len();
     let mut plans: Vec<Option<Arc<RepairPlan>>> = vec![None; groups];
     let mut members: Vec<u32> = vec![0; groups];
     let mut all_updates: Vec<CellUpdate> = Vec::new();
     let mut row_buf: Vec<Symbol> = Vec::with_capacity(cols.len());
     let mut sig_buf: Vec<Symbol> = Vec::with_capacity(rel.len());
-    let wants_rows = observer.wants_rows();
+    let wants_rows = observer.interest().contains(Interest::ROWS);
     let mut pre: Vec<u32> = Vec::new();
     let mut scattered = 0usize;
     for i in 0..rows {
         if wants_rows {
             pre.clear();
             pre.extend(cols.iter().map(|c| c[i].0));
-            observer.row_observed(&pre);
+            observer.on(RepairEvent::RowObserved(&pre));
         }
         let g = group_of[i] as usize;
         if let Some(plan) = &plans[g] {
@@ -222,7 +227,7 @@ pub fn repair_columns_grouped<O: RepairObserver>(
                 for (k, u) in plan.updates().iter().enumerate() {
                     let mut upd = *u;
                     upd.row = base_row + i;
-                    observer.cell_repaired(upd.as_fix(k));
+                    observer.on(RepairEvent::CellRepaired(upd.as_fix(k)));
                     all_updates.push(upd);
                 }
             }
@@ -235,13 +240,17 @@ pub fn repair_columns_grouped<O: RepairObserver>(
                 let sig = TupleSignature::from_slice(&sig_buf);
                 match cache.get(&sig) {
                     Some(plan) => {
-                        observer.plan_cache_lookup(true);
+                        observer.on(RepairEvent::PlanCacheLookup { hit: true });
                         scatter_plan(&plan, cols, i, observer);
-                        observer.tuple_done(plan.rounds(), plan.updates().len());
+                        observer.on(RepairEvent::TuplesDone {
+                            rounds: plan.rounds(),
+                            updates: plan.updates().len(),
+                            count: 1,
+                        });
                         plan
                     }
                     None => {
-                        observer.plan_cache_lookup(false);
+                        observer.on(RepairEvent::PlanCacheLookup { hit: false });
                         let plan = run_group_rep(
                             rules,
                             program,
@@ -253,7 +262,7 @@ pub fn repair_columns_grouped<O: RepairObserver>(
                             observer,
                         );
                         for _ in 0..cache.insert(sig, plan.clone()) {
-                            observer.plan_cache_evicted();
+                            observer.on(RepairEvent::PlanCacheEvicted);
                         }
                         Arc::new(plan)
                     }
@@ -273,7 +282,7 @@ pub fn repair_columns_grouped<O: RepairObserver>(
         for (k, u) in plan.updates().iter().enumerate() {
             let mut upd = *u;
             upd.row = base_row + i;
-            observer.cell_repaired(upd.as_fix(k));
+            observer.on(RepairEvent::CellRepaired(upd.as_fix(k)));
             all_updates.push(upd);
         }
         plans[g] = Some(plan);
@@ -281,7 +290,11 @@ pub fn repair_columns_grouped<O: RepairObserver>(
     for (g, &count) in members.iter().enumerate() {
         if count > 0 {
             let plan = plans[g].as_ref().expect("group with members has a plan");
-            observer.tuples_done(plan.rounds(), plan.updates().len(), count as usize);
+            observer.on(RepairEvent::TuplesDone {
+                rounds: plan.rounds(),
+                updates: plan.updates().len(),
+                count: count as usize,
+            });
         }
     }
     let stats = BatchStats {
@@ -289,7 +302,11 @@ pub fn repair_columns_grouped<O: RepairObserver>(
         groups,
         scattered,
     };
-    observer.batch_grouped(rows, groups, scattered);
+    observer.on(RepairEvent::BatchGrouped {
+        rows,
+        groups,
+        scattered,
+    });
     (all_updates, stats)
 }
 

@@ -54,10 +54,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fxhash::FxHashMap;
-use obs::RepairObserver;
+use obs::{Interest, RepairEvent, RepairObserver};
 use relation::{AttrId, AttrSet, Symbol};
 
-use crate::repair::CellUpdate;
+use crate::repair::{emit_rule_latency, CellUpdate};
 use crate::ruleset::{RuleId, RuleSet};
 use crate::semantics::{matches, properly_applicable};
 
@@ -225,7 +225,7 @@ pub struct RepairPlan {
     /// re-index), with the engine's original `round` stamps.
     updates: Vec<CellUpdate>,
     /// Chase rounds / queue pops of the original run — replayed into
-    /// `tuple_done` so cached and uncached metrics agree.
+    /// `TuplesDone` so cached and uncached metrics agree.
     rounds: usize,
     /// Union of the applied rules' assured sets (`X ∪ {B}` per rule).
     assured: AttrSet,
@@ -491,15 +491,15 @@ fn chase_compiled<O: RepairObserver>(
     let mut assured = AttrSet::EMPTY;
     let mut updates = Vec::new();
     let mut rounds = 0usize;
-    let timing = observer.wants_rule_timing();
+    let timing = observer.interest().contains(Interest::RULE_TIMING);
     loop {
         rounds += 1;
-        observer.chase_round();
+        observer.on(RepairEvent::ChaseRound);
         let round_token = scratch.next_token();
         scratch.worklist.clear();
         for g in &program.groups {
             let hits = g.probe(row, &mut scratch.proj);
-            observer.plan_probe(hits.len());
+            observer.on(RepairEvent::PlanProbe { hits: hits.len() });
             for &rid in hits {
                 if scratch.used[rid.index()] != tuple_token {
                     scratch.queued[rid.index()] = round_token;
@@ -522,10 +522,8 @@ fn chase_compiled<O: RepairObserver>(
             // evidence that matched at probe time — re-verify, exactly as
             // cRepair's rescan would find the rule non-matching.
             if assured.contains(rule.b()) || !matches(rule, row) {
-                observer.rule_rejected(rid.index());
-                if let Some(t0) = t0 {
-                    observer.rule_latency(rid.index(), t0.elapsed().as_nanos() as u64);
-                }
+                observer.on(RepairEvent::RuleRejected { rule: rid.index() });
+                emit_rule_latency(observer, rid.index(), t0);
                 continue;
             }
             debug_assert!(properly_applicable(rule, row, assured));
@@ -535,10 +533,11 @@ fn chase_compiled<O: RepairObserver>(
             assured.union_with(rule.assured_delta());
             scratch.used[rid.index()] = tuple_token;
             applied = true;
-            observer.rule_applied(rid.index(), b.index());
-            if let Some(t0) = t0 {
-                observer.rule_latency(rid.index(), t0.elapsed().as_nanos() as u64);
-            }
+            observer.on(RepairEvent::RuleApplied {
+                rule: rid.index(),
+                attr: b.index(),
+            });
+            emit_rule_latency(observer, rid.index(), t0);
             updates.push(CellUpdate {
                 row: 0,
                 attr: b,
@@ -554,7 +553,7 @@ fn chase_compiled<O: RepairObserver>(
             for &gi in &program.groups_by_attr[b.index()] {
                 let g = &program.groups[gi as usize];
                 let hits = g.probe(row, &mut scratch.proj);
-                observer.plan_probe(hits.len());
+                observer.on(RepairEvent::PlanProbe { hits: hits.len() });
                 for &nrid in hits {
                     if nrid > rid
                         && scratch.used[nrid.index()] != tuple_token
@@ -592,7 +591,7 @@ fn linear_compiled<O: RepairObserver>(
     scratch.seed.clear();
     for g in &program.groups {
         let hits = g.probe(row, &mut scratch.proj);
-        observer.plan_probe(hits.len());
+        observer.on(RepairEvent::PlanProbe { hits: hits.len() });
         for &rid in hits {
             scratch.seed.push((g.max_attr, rid));
         }
@@ -606,7 +605,7 @@ fn linear_compiled<O: RepairObserver>(
     let mut assured = AttrSet::EMPTY;
     let mut updates = Vec::new();
     let mut pops = 0usize;
-    let timing = observer.wants_rule_timing();
+    let timing = observer.interest().contains(Interest::RULE_TIMING);
     while let Some(rid) = scratch.worklist.pop() {
         pops += 1;
         let rule = rules.rule(rid);
@@ -614,20 +613,19 @@ fn linear_compiled<O: RepairObserver>(
         // Pop-time verification, as in Fig 7 line 10: enqueue order is a
         // filter, not a proof.
         if !properly_applicable(rule, row, assured) {
-            observer.rule_rejected(rid.index());
-            if let Some(t0) = t0 {
-                observer.rule_latency(rid.index(), t0.elapsed().as_nanos() as u64);
-            }
+            observer.on(RepairEvent::RuleRejected { rule: rid.index() });
+            emit_rule_latency(observer, rid.index(), t0);
             continue;
         }
         let b = rule.b();
         let old = row[b.index()];
         row[b.index()] = rule.fact();
         assured.union_with(rule.assured_delta());
-        observer.rule_applied(rid.index(), b.index());
-        if let Some(t0) = t0 {
-            observer.rule_latency(rid.index(), t0.elapsed().as_nanos() as u64);
-        }
+        observer.on(RepairEvent::RuleApplied {
+            rule: rid.index(),
+            attr: b.index(),
+        });
+        emit_rule_latency(observer, rid.index(), t0);
         updates.push(CellUpdate {
             row: 0,
             attr: b,
@@ -643,7 +641,7 @@ fn linear_compiled<O: RepairObserver>(
         for &gi in &program.groups_by_attr[b.index()] {
             let g = &program.groups[gi as usize];
             let hits = g.probe(row, &mut scratch.proj);
-            observer.plan_probe(hits.len());
+            observer.on(RepairEvent::PlanProbe { hits: hits.len() });
             for &nrid in hits {
                 if scratch.queued[nrid.index()] != tuple_token {
                     scratch.queued[nrid.index()] = tuple_token;
@@ -662,7 +660,7 @@ fn linear_compiled<O: RepairObserver>(
 /// chase flavor returns exactly [`crate::repair::crepair_tuple`]'s
 /// updates, the linear flavor [`crate::repair::lrepair_tuple`]'s — `row`
 /// field 0 — plus the chase rounds / queue pops of the run. Emits the
-/// engine's per-rule hooks but no `tuple_done`; callers account for that.
+/// engine's per-rule events but no `TuplesDone`; callers account for that.
 #[inline]
 pub fn run_engine<O: RepairObserver>(
     rules: &RuleSet,

@@ -22,10 +22,10 @@
 //! "clear" them instead of `O(|Σ|)`.
 
 use fxhash::FxHashMap;
-use obs::{NoopObserver, RepairObserver};
+use obs::{Interest, NoopObserver, RepairEvent, RepairObserver};
 use relation::{AttrId, AttrSet, Symbol, Table};
 
-use crate::repair::{CellUpdate, RepairOutcome};
+use crate::repair::{emit_rule_latency, CellUpdate, RepairOutcome};
 use crate::ruleset::{RuleId, RuleSet};
 use crate::semantics::properly_applicable;
 
@@ -148,9 +148,9 @@ pub fn lrepair_tuple(
     lrepair_tuple_observed(rules, index, scratch, row, &NoopObserver)
 }
 
-/// [`lrepair_tuple`] with observer hooks: `index_probe` per inverted-list
-/// lookup, `counter_saturated` per hash counter reaching `|X_φ|`,
-/// `rule_applied` per fired rule, `tuple_done` (pops, updates) at the end.
+/// [`lrepair_tuple`] with observer events: `IndexProbe` per inverted-list
+/// lookup, `CounterSaturated` per hash counter reaching `|X_φ|`,
+/// `RuleApplied` per fired rule, `TuplesDone` (pops, updates) at the end.
 /// With [`NoopObserver`] this monomorphizes to the unobserved hot path.
 pub fn lrepair_tuple_observed<O: RepairObserver>(
     rules: &RuleSet,
@@ -165,12 +165,12 @@ pub fn lrepair_tuple_observed<O: RepairObserver>(
     for (a, &value) in row.iter().enumerate() {
         let attr = AttrId(a as u16);
         let hits = index.rules_for(attr, value);
-        observer.index_probe(hits.len());
+        observer.on(RepairEvent::IndexProbe { hits: hits.len() });
         for &rid in hits {
             let c = scratch.count_of(rid) + 1;
             scratch.set_count(rid, c);
             if c == index.evidence_len[rid.index()] {
-                observer.counter_saturated();
+                observer.on(RepairEvent::CounterSaturated);
                 scratch.try_enqueue(rid);
             }
         }
@@ -180,7 +180,7 @@ pub fn lrepair_tuple_observed<O: RepairObserver>(
     let mut pops = 0usize;
     // Per-rule latency is opt-in: under NoopObserver (and any observer not
     // asking for timing) the Instant pair folds away.
-    let timing = observer.wants_rule_timing();
+    let timing = observer.interest().contains(Interest::RULE_TIMING);
     // Lines 8–16: chase over the candidate queue.
     while let Some(rid) = scratch.queue.pop() {
         pops += 1;
@@ -191,10 +191,8 @@ pub fn lrepair_tuple_observed<O: RepairObserver>(
         // here. Evidence is re-verified too: an update may have overwritten
         // an evidence cell after this rule was enqueued.
         if !properly_applicable(rule, row, assured) {
-            observer.rule_rejected(rid.index());
-            if let Some(t0) = t0 {
-                observer.rule_latency(rid.index(), t0.elapsed().as_nanos() as u64);
-            }
+            observer.on(RepairEvent::RuleRejected { rule: rid.index() });
+            emit_rule_latency(observer, rid.index(), t0);
             continue; // line 16: removed once and for all
         }
         let b = rule.b();
@@ -202,10 +200,11 @@ pub fn lrepair_tuple_observed<O: RepairObserver>(
         let new = rule.fact();
         row[b.index()] = new;
         assured.union_with(rule.assured_delta());
-        observer.rule_applied(rid.index(), b.index());
-        if let Some(t0) = t0 {
-            observer.rule_latency(rid.index(), t0.elapsed().as_nanos() as u64);
-        }
+        observer.on(RepairEvent::RuleApplied {
+            rule: rid.index(),
+            attr: b.index(),
+        });
+        emit_rule_latency(observer, rid.index(), t0);
         updates.push(CellUpdate {
             row: 0,
             attr: b,
@@ -216,23 +215,27 @@ pub fn lrepair_tuple_observed<O: RepairObserver>(
         });
         // Lines 13–15: recalculate counters for the updated cell only.
         let stale = index.rules_for(b, old);
-        observer.index_probe(stale.len());
+        observer.on(RepairEvent::IndexProbe { hits: stale.len() });
         for &other in stale {
             let c = scratch.count_of(other);
             scratch.set_count(other, c.saturating_sub(1));
         }
         let fresh = index.rules_for(b, new);
-        observer.index_probe(fresh.len());
+        observer.on(RepairEvent::IndexProbe { hits: fresh.len() });
         for &other in fresh {
             let c = scratch.count_of(other) + 1;
             scratch.set_count(other, c);
             if c == index.evidence_len[other.index()] {
-                observer.counter_saturated();
+                observer.on(RepairEvent::CounterSaturated);
                 scratch.try_enqueue(other);
             }
         }
     }
-    observer.tuple_done(pops, updates.len());
+    observer.on(RepairEvent::TuplesDone {
+        rounds: pops,
+        updates: updates.len(),
+        count: 1,
+    });
     updates
 }
 
@@ -241,8 +244,8 @@ pub fn lrepair_table(rules: &RuleSet, index: &LRepairIndex, table: &mut Table) -
     lrepair_table_observed(rules, index, table, &NoopObserver)
 }
 
-/// [`lrepair_table`] with observer hooks; additionally emits one
-/// `cell_repaired` per applied update (the table driver knows the row
+/// [`lrepair_table`] with observer events; additionally emits one
+/// `CellRepaired` per applied update (the table driver knows the row
 /// index; the per-tuple algorithm doesn't).
 pub fn lrepair_table_observed<O: RepairObserver>(
     rules: &RuleSet,
@@ -261,7 +264,7 @@ pub fn lrepair_table_observed<O: RepairObserver>(
             lrepair_tuple_observed(rules, index, &mut scratch, table.row_mut(i), observer);
         for (k, u) in ups.iter_mut().enumerate() {
             u.row = i;
-            observer.cell_repaired(u.as_fix(k));
+            observer.on(RepairEvent::CellRepaired(u.as_fix(k)));
         }
         outcome.updates.extend(ups);
     }

@@ -72,7 +72,7 @@ pub struct CellUpdate {
 }
 
 impl CellUpdate {
-    /// Translate into the plain-id [`obs::CellFix`] hook payload;
+    /// Translate into the plain-id [`obs::CellFix`] event payload;
     /// `ordinal` is this update's application order within its row.
     /// Expects `row` to already be re-indexed by a table driver.
     pub fn as_fix(&self, ordinal: usize) -> obs::CellFix {
@@ -85,6 +85,21 @@ impl CellUpdate {
             new: self.new.0,
             round: self.round,
         }
+    }
+}
+
+/// Emit [`obs::RepairEvent::RuleLatency`] for one evaluation of `rule`
+/// started at `t0`; `None` (the observer did not ask for
+/// [`obs::Interest::RULE_TIMING`]) emits nothing.
+#[inline]
+pub(crate) fn emit_rule_latency<O: obs::RepairObserver>(
+    observer: &O,
+    rule: usize,
+    t0: Option<std::time::Instant>,
+) {
+    if let Some(t0) = t0 {
+        let ns = t0.elapsed().as_nanos() as u64;
+        observer.on(obs::RepairEvent::RuleLatency { rule, ns });
     }
 }
 

@@ -8,7 +8,7 @@
 //! extension beyond the paper (its experiments are single-threaded); the
 //! `repro` harness uses the sequential oracles so timings stay comparable.
 
-use obs::RepairObserver;
+use obs::{RepairEvent, RepairObserver};
 use relation::ColumnTable;
 
 use crate::repair::columnar::{repair_columns_grouped, BatchStats};
@@ -25,9 +25,9 @@ use crate::ruleset::RuleSet;
 /// is byte-identical to [`crate::repair::columnar_table_observed`]'s after the final
 /// stable sort.
 ///
-/// Hooks come from the shared observer (which must be `Sync`), one
-/// `batch_grouped` per worker chunk, and one `worker_done(worker, rows,
-/// updates, busy_ns)` per worker; per-row hooks of different chunks
+/// Events go to the shared observer (which must be `Sync`): one
+/// `BatchGrouped` per worker chunk, and one `WorkerDone { worker, rows,
+/// updates, busy_ns }` per worker; per-row events of different chunks
 /// interleave. The returned [`BatchStats`] sum the per-chunk stats, so
 /// `groups` may exceed the sequential driver's count when a signature
 /// spans chunks.
@@ -71,7 +71,12 @@ pub fn par_columnar_table_observed<O: RepairObserver>(
                     observer,
                 );
                 let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                observer.worker_done(chunk_idx, stats.rows, local.len(), busy_ns);
+                observer.on(RepairEvent::WorkerDone {
+                    worker: chunk_idx,
+                    rows: stats.rows,
+                    updates: local.len(),
+                    busy_ns,
+                });
                 (local, stats)
             }));
         }

@@ -13,7 +13,7 @@
 
 use std::io::{Read, Write};
 
-use obs::RepairObserver;
+use obs::{RepairEvent, RepairObserver};
 use relation::csv_io::{CsvReader, CsvWriter};
 use relation::{ColumnTable, RelationError, SymbolTable};
 
@@ -41,10 +41,10 @@ pub type StreamStats = RepairStats;
 ///
 /// The CSV header must match the rule set's schema attribute names (same
 /// names, same order) — the rules' attribute ids index positionally into
-/// each record. Hooks are the grouped core's (`row_observed` with each
-/// record's pre-repair values right before its fixes, `cell_repaired`
-/// with `row` = 0-based record index), plus one `stream_record(vocab)`
-/// per record carrying the interner size.
+/// each record. Events are the grouped core's (`RowObserved` with each
+/// record's pre-repair values right before its fixes, `CellRepaired`
+/// with `row` = 0-based record index), plus one `StreamRecords` per
+/// batch carrying the record count and the interner size.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_repair_csv<R: Read, W: Write, O: RepairObserver>(
     rules: &RuleSet,
@@ -95,9 +95,10 @@ pub fn stream_repair_csv<R: Read, W: Write, O: RepairObserver>(
         stats.updates += outcome.total_updates();
         stats.rows_touched += outcome.rows_touched();
         stats.rows += n;
-        for _ in 0..n {
-            observer.stream_record(symbols.len());
-        }
+        observer.on(RepairEvent::StreamRecords {
+            count: n,
+            vocab: symbols.len(),
+        });
         wtr.write_rows(&batch, symbols)?;
     }
     wtr.finish()?;

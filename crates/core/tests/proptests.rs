@@ -23,7 +23,7 @@ use fixrules::repair::{
 };
 use fixrules::semantics::{all_fixes, is_fixpoint};
 use fixrules::{FixingRule, RuleSet};
-use obs::RepairObserver;
+use obs::{RepairEvent, RepairObserver};
 use relation::{AttrId, AttrSet, ColumnTable, Schema, Symbol, Table};
 
 const ARITY: usize = 5;
@@ -263,7 +263,7 @@ proptest! {
                     run_engine(&rs, &program, engine, &mut scratch, t.row_mut(i), &obs);
                 for (ordinal, u) in updates.iter().enumerate() {
                     let u = CellUpdate { row: i, ..*u };
-                    obs.cell_repaired(u.as_fix(ordinal));
+                    obs.on(RepairEvent::CellRepaired(u.as_fix(ordinal)));
                 }
             }
             prop_assert_eq!(ref_table.diff_cells(&t).unwrap(), 0,

@@ -1,5 +1,5 @@
 //! Cross-driver provenance integration: every repair driver feeds the
-//! ledger through `cell_repaired`, and the resulting ledger (a) replays
+//! ledger through `CellRepaired` events, and the resulting ledger (a) replays
 //! the dirty table into the repaired table exactly, and (b) re-derives the
 //! final value of every updated cell through its causal chain.
 

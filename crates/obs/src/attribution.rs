@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use crate::json::Json;
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
-use crate::observer::{CellFix, RepairObserver};
+use crate::observer::{Interest, RepairEvent, RepairObserver};
 
 /// Caller-supplied description of one rule, used both as metric labels and
 /// in profile rows. `rule` is a short stable id (e.g. `"r3"`), `attr` the
@@ -62,8 +62,8 @@ impl RuleSeries {
 /// Out-of-range rule ids (possible when the observer outlives a rule-set
 /// reload) aggregate into a catch-all `rule="other"` series rather than
 /// being dropped. Enable `with_timing` to also collect per-rule latency
-/// histograms; [`RepairObserver::wants_rule_timing`] then tells the
-/// drivers to measure.
+/// histograms; [`RepairObserver::interest`] then asks the drivers for
+/// [`Interest::RULE_TIMING`].
 #[derive(Debug, Clone)]
 pub struct AttributionObserver {
     labels: Vec<RuleLabel>,
@@ -96,7 +96,7 @@ impl AttributionObserver {
     }
 
     /// Enable per-rule latency collection (drivers consult
-    /// [`RepairObserver::wants_rule_timing`]).
+    /// [`RepairObserver::interest`]).
     pub fn with_timing(mut self, timing: bool) -> Self {
         self.timing = timing;
         self
@@ -149,33 +149,24 @@ impl AttributionObserver {
 
 impl RepairObserver for AttributionObserver {
     #[inline]
-    fn rule_applied(&self, rule: usize, _attr: usize) {
-        self.series(rule).applied.inc();
+    fn on(&self, event: RepairEvent<'_>) {
+        match event {
+            RepairEvent::RuleApplied { rule, .. } => self.series(rule).applied.inc(),
+            RepairEvent::CellRepaired(fix) => self.series(fix.rule).cells.inc(),
+            RepairEvent::RuleRejected { rule } => self.series(rule).rejected.inc(),
+            RepairEvent::RuleLatency { rule, ns } => self.series(rule).latency.record(ns),
+            RepairEvent::PlanReplayed { rule, .. } => self.series(rule).plan_replays.inc(),
+            _ => {}
+        }
     }
 
     #[inline]
-    fn cell_repaired(&self, fix: CellFix) {
-        self.series(fix.rule).cells.inc();
-    }
-
-    #[inline]
-    fn rule_rejected(&self, rule: usize) {
-        self.series(rule).rejected.inc();
-    }
-
-    #[inline]
-    fn rule_latency(&self, rule: usize, ns: u64) {
-        self.series(rule).latency.record(ns);
-    }
-
-    #[inline]
-    fn plan_replayed(&self, rule: usize, _attr: usize) {
-        self.series(rule).plan_replays.inc();
-    }
-
-    #[inline]
-    fn wants_rule_timing(&self) -> bool {
-        self.timing
+    fn interest(&self) -> Interest {
+        if self.timing {
+            Interest::RULE_TIMING
+        } else {
+            Interest::NONE
+        }
     }
 }
 
@@ -294,7 +285,7 @@ impl AttributionProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::{NoopObserver, Tee};
+    use crate::observer::{CellFix, NoopObserver, Tee};
 
     fn labels() -> Vec<RuleLabel> {
         vec![
@@ -317,13 +308,13 @@ mod tests {
     fn attribution_splits_by_rule_and_ranks() {
         let reg = MetricsRegistry::new();
         let obs = AttributionObserver::new(&reg, labels());
-        obs.rule_applied(1, 0);
-        obs.rule_applied(1, 0);
-        obs.rule_applied(0, 1);
-        obs.rule_rejected(0);
-        obs.rule_rejected(2);
-        obs.plan_replayed(1, 0);
-        obs.cell_repaired(CellFix {
+        obs.on(RepairEvent::RuleApplied { rule: 1, attr: 0 });
+        obs.on(RepairEvent::RuleApplied { rule: 1, attr: 0 });
+        obs.on(RepairEvent::RuleApplied { rule: 0, attr: 1 });
+        obs.on(RepairEvent::RuleRejected { rule: 0 });
+        obs.on(RepairEvent::RuleRejected { rule: 2 });
+        obs.on(RepairEvent::PlanReplayed { rule: 1, attr: 0 });
+        obs.on(RepairEvent::CellRepaired(CellFix {
             row: 0,
             ordinal: 0,
             rule: 1,
@@ -331,7 +322,7 @@ mod tests {
             old: 1,
             new: 2,
             round: 1,
-        });
+        }));
         let profile = obs.profile();
         assert_eq!(profile.rows[0].rule, "r1");
         assert_eq!(profile.rows[0].applied, 2);
@@ -362,7 +353,7 @@ mod tests {
     fn out_of_range_rules_hit_the_catch_all() {
         let reg = MetricsRegistry::new();
         let obs = AttributionObserver::new(&reg, labels());
-        obs.rule_applied(99, 0);
+        obs.on(RepairEvent::RuleApplied { rule: 99, attr: 0 });
         let profile = obs.profile();
         let other = profile.rows.iter().find(|r| r.rule == "other").unwrap();
         assert_eq!(other.applied, 1);
@@ -373,11 +364,14 @@ mod tests {
         let run = || {
             let reg = MetricsRegistry::new();
             let obs = AttributionObserver::new(&reg, labels()).with_timing(true);
-            obs.rule_applied(0, 1);
-            obs.rule_rejected(1);
+            obs.on(RepairEvent::RuleApplied { rule: 0, attr: 1 });
+            obs.on(RepairEvent::RuleRejected { rule: 1 });
             // Latency values differ between "runs" but only the sample
             // count may appear in the JSON.
-            obs.rule_latency(0, 1000 + reg.counter("seed").get());
+            obs.on(RepairEvent::RuleLatency {
+                rule: 0,
+                ns: 1000 + reg.counter("seed").get(),
+            });
             obs.profile().to_json().to_string()
         };
         let a = run();
@@ -391,16 +385,16 @@ mod tests {
     fn timing_opt_in_propagates_through_tee_and_refs() {
         let reg = MetricsRegistry::new();
         let plain = AttributionObserver::new(&reg, labels());
-        assert!(!plain.wants_rule_timing());
+        assert_eq!(plain.interest(), Interest::NONE);
         let timed = plain.clone().with_timing(true);
-        assert!(timed.wants_rule_timing());
+        assert_eq!(timed.interest(), Interest::RULE_TIMING);
         let noop = NoopObserver;
         let tee = Tee(&noop, &timed);
-        assert!(tee.wants_rule_timing());
-        // Blanket &T forwarding keeps both the hooks and the timing flag.
+        assert!(tee.interest().contains(Interest::RULE_TIMING));
+        // &T forwarding keeps both the events and the timing interest.
         let via_ref: &dyn RepairObserver = &timed;
-        assert!((&via_ref).wants_rule_timing());
-        (&via_ref).rule_applied(0, 0);
+        assert!((&via_ref).interest().contains(Interest::RULE_TIMING));
+        (&via_ref).on(RepairEvent::RuleApplied { rule: 0, attr: 0 });
         assert_eq!(
             timed
                 .profile()
@@ -417,7 +411,7 @@ mod tests {
     fn render_table_marks_unfired_rules() {
         let reg = MetricsRegistry::new();
         let obs = AttributionObserver::new(&reg, labels());
-        obs.rule_applied(0, 1);
+        obs.on(RepairEvent::RuleApplied { rule: 0, attr: 1 });
         let table = obs.profile().render_table();
         assert!(table.contains("rule"), "{table}");
         assert!(table.contains("never fired: r1, r2"), "{table}");

@@ -5,11 +5,11 @@
 //! * [`MetricsRegistry`] — named lock-free [`Counter`]s, [`Gauge`]s, and
 //!   log-bucketed [`Histogram`]s (p50/p95/p99), plus RAII [`SpanTimer`]s
 //!   for scoped stage timing ([`metrics`]);
-//! * [`RepairObserver`] — hook points called from the repair pipeline
-//!   (`cRepair` chase rounds, `lRepair` inverted-list probes, parallel
-//!   worker accounting, stream throughput, consistency pair checks), with
-//!   a [`NoopObserver`] default that monomorphizes to nothing
-//!   ([`observer`]);
+//! * [`RepairObserver`] — receives one [`RepairEvent`] per step of the
+//!   repair pipeline (`cRepair` chase rounds, `lRepair` inverted-list
+//!   probes, parallel worker accounting, stream throughput, consistency
+//!   pair checks) through its single `on` method, with a [`NoopObserver`]
+//!   default that monomorphizes to nothing ([`observer`]);
 //! * [`Json`] — a small self-contained JSON value for deterministic
 //!   snapshot export and parsing ([`json`]);
 //! * [`TraceJournal`] — an append-only structured event journal
@@ -47,7 +47,7 @@
 //! # Example
 //!
 //! ```
-//! use obs::{MetricsRegistry, MetricsObserver, RepairObserver};
+//! use obs::{MetricsRegistry, MetricsObserver, RepairEvent, RepairObserver};
 //!
 //! let registry = MetricsRegistry::new();
 //! let observer = MetricsObserver::new(&registry);
@@ -55,8 +55,8 @@
 //!     let _span = registry.span("stage.index_build");
 //!     // ... build the index ...
 //! }
-//! observer.rule_applied(0, 2);
-//! observer.tuple_done(1, 1);
+//! observer.on(RepairEvent::RuleApplied { rule: 0, attr: 2 });
+//! observer.on(RepairEvent::TuplesDone { rounds: 1, updates: 1, count: 1 });
 //! let snapshot = registry.snapshot(); // deterministic JSON
 //! assert_eq!(
 //!     snapshot.get("counters").unwrap().get("repair.rules_applied").unwrap().as_i64(),
@@ -85,7 +85,10 @@ pub use http::{http_get, http_post, http_request, http_request_with_headers, Htt
 pub use json::Json;
 pub use log::Level;
 pub use metrics::{series_key, Counter, Gauge, Histogram, MetricsRegistry, SpanTimer};
-pub use observer::{CellFix, MetricsObserver, NoopObserver, RepairObserver, Tee, METRIC_NAMES};
+pub use observer::{
+    CellFix, Interest, MetricsObserver, NoopObserver, RepairEvent, RepairObserver, Tee,
+    METRIC_NAMES,
+};
 pub use quality::{
     render_snapshot, AlertEvent, AlertRule, AttrSummary, QualityConfig, QualityMonitor, Signal,
     WindowSummary,

@@ -1,20 +1,22 @@
-//! Observer hooks for the repair pipeline.
+//! Observer events for the repair pipeline.
 //!
-//! The repair drivers in `fixrules` are generic over a [`RepairObserver`];
-//! every hook has an empty default body and the drivers' public entry
-//! points pass [`NoopObserver`], so the instrumented code monomorphizes to
-//! exactly the uninstrumented hot path when observability is off — zero
-//! branches, zero atomics. [`MetricsObserver`] is the production
-//! implementation, fanning each hook into [`MetricsRegistry`] counters and
-//! histograms under the documented names.
+//! The repair drivers in `fixrules` are generic over a [`RepairObserver`]
+//! and report each step as a [`RepairEvent`] through its one method,
+//! [`RepairObserver::on`]. The default body is empty and the drivers'
+//! public entry points pass [`NoopObserver`], so the instrumented code
+//! monomorphizes to exactly the uninstrumented hot path when
+//! observability is off — zero branches, zero atomics.
+//! [`MetricsObserver`] is the production implementation, folding each
+//! event into [`MetricsRegistry`] counters, gauges and histograms under
+//! the names listed in [`METRIC_NAMES`].
 //!
-//! Hook arguments are plain `usize`/`u64` so this crate stays a leaf with
+//! Event payloads are plain `usize`/`u64` so this crate stays a leaf with
 //! no knowledge of relational types; callers pass `RuleId::index()` etc.
 
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 
-/// Value-carrying description of one applied fix, passed to
-/// [`RepairObserver::cell_repaired`] by the table and stream drivers.
+/// Value-carrying description of one applied fix, the payload of
+/// [`RepairEvent::CellRepaired`] from the table and stream drivers.
 ///
 /// Plain ids only (row/attr/rule ordinals, interned symbol ids) so this
 /// crate stays a leaf; consumers that know the rule set — like the
@@ -38,200 +40,149 @@ pub struct CellFix {
     pub round: u32,
 }
 
-/// Hooks called from the repair stack. All default to no-ops.
+/// One observable step of the repair stack, delivered to
+/// [`RepairObserver::on`].
+///
+/// The only borrowed payload is [`RepairEvent::RowObserved`]'s row slice,
+/// so the enum is `Copy` and a [`Tee`] hands one event to both sides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RepairEvent<'a> {
+    /// One outer scan round of `cRepair` over the rule set.
+    ChaseRound,
+    /// A rule fired and updated attribute `attr`.
+    RuleApplied { rule: usize, attr: usize },
+    /// A rule was evaluated against a tuple but did not fire (evidence
+    /// mismatch, already-assured B cell, or failed re-verification).
+    RuleRejected { rule: usize },
+    /// Wall-clock nanoseconds one evaluation of `rule` took, fired or not.
+    /// Emitted only under [`Interest::RULE_TIMING`], so the `Instant::now`
+    /// pair is skipped entirely otherwise.
+    RuleLatency { rule: usize, ns: u64 },
+    /// A memoized plan re-applied `rule` to attribute `attr`; fires
+    /// alongside [`RepairEvent::RuleApplied`].
+    PlanReplayed { rule: usize, attr: usize },
+    /// `count` tuples each finished after `rounds` chase rounds (or queue
+    /// pops) with `updates` cell updates. The oracles report one tuple at
+    /// a time; the grouped core reports a signature group's members once.
+    TuplesDone {
+        rounds: usize,
+        updates: usize,
+        count: usize,
+    },
+    /// `lRepair` consulted an inverted list and found `hits` rules.
+    IndexProbe { hits: usize },
+    /// A hash counter reached its `|X|` target and the rule was enqueued.
+    CounterSaturated,
+    /// The compiled engine probed one evidence-group dispatch table and
+    /// found `hits` matching rules.
+    PlanProbe { hits: usize },
+    /// The grouped core looked a tuple signature up in the plan cache.
+    PlanCacheLookup { hit: bool },
+    /// The plan cache evicted an entry to stay within its capacity.
+    PlanCacheEvicted,
+    /// The grouped core grouped one batch by tuple signature: `rows` rows
+    /// fell into `groups` distinct signatures, and `scattered` rows were
+    /// repaired by scattering a group plan instead of an engine run or
+    /// cache probe.
+    BatchGrouped {
+        rows: usize,
+        groups: usize,
+        scattered: usize,
+    },
+    /// A parallel worker finished its shard.
+    WorkerDone {
+        worker: usize,
+        rows: usize,
+        updates: usize,
+        busy_ns: u64,
+    },
+    /// The streaming driver wrote one batch of `count` records; `vocab` is
+    /// the interner size after the batch.
+    StreamRecords { count: usize, vocab: usize },
+    /// A driver is about to repair one row; the slice holds the row's
+    /// *pre-repair* interned symbol ids in attribute order. Emitted only
+    /// under [`Interest::ROWS`], so the copy is skipped otherwise.
+    RowObserved(&'a [u32]),
+    /// A table/stream driver applied one fix, with full values: the
+    /// provenance event, emitted per update once its row is known.
+    CellRepaired(CellFix),
+    /// A consistency checker examined `pairs` rule pairs.
+    PairsChecked { pairs: usize },
+    /// A consistency checker found a conflicting pair; `case` is the Fig 4
+    /// characterization case name.
+    ConflictFound { case: &'static str },
+    /// A consistency checker materialized a witness tuple for a conflict.
+    WitnessFound,
+    /// The static analyzer (`fixlint`) emitted one finding; `code` is the
+    /// stable diagnostic code (`FR001`, ...) and `severity` its severity
+    /// name (`error`/`warning`/`note`).
+    LintFinding {
+        code: &'static str,
+        severity: &'static str,
+    },
+    /// The certifier (`fixcert`) examined `pairs` interaction-graph pairs
+    /// for confluence.
+    CertPairsChecked { pairs: usize },
+    /// The certifier executed one synthesized witness tuple through the
+    /// compiled chase engine (two rule orders count as one run).
+    CertWitnessRun,
+    /// The certifier emitted one finding (`FR009`/`FR010`/`FR011`).
+    CertFinding {
+        code: &'static str,
+        severity: &'static str,
+    },
+    /// A certification pass finished; `certified` is the verdict.
+    CertCompleted { certified: bool },
+}
+
+/// The events whose *emission* costs a driver extra work, as a bit set:
+/// drivers only time rule evaluations or copy pre-repair rows for
+/// observers that ask. Every other event is always emitted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Interest(u8);
+
+impl Interest {
+    /// No opt-in events.
+    pub const NONE: Interest = Interest(0);
+    /// [`RepairEvent::RuleLatency`]: time every rule evaluation.
+    pub const RULE_TIMING: Interest = Interest(1);
+    /// [`RepairEvent::RowObserved`]: copy every row before repairing it.
+    pub const ROWS: Interest = Interest(1 << 1);
+
+    /// Whether every bit of `other` is set in `self`.
+    #[inline]
+    pub const fn contains(self, other: Interest) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
+impl std::ops::BitOr for Interest {
+    type Output = Interest;
+
+    #[inline]
+    fn bitor(self, other: Interest) -> Interest {
+        Interest(self.0 | other.0)
+    }
+}
+
+/// Receives [`RepairEvent`]s from the repair stack. Both methods default
+/// to doing nothing.
 ///
 /// `Sync` is required because the parallel driver shares one observer
 /// across workers.
 pub trait RepairObserver: Sync {
-    /// One outer scan round of `cRepair` over the rule set.
+    /// Handle one event.
     #[inline]
-    fn chase_round(&self) {}
-
-    /// A rule fired and updated attribute `attr`.
-    #[inline]
-    fn rule_applied(&self, rule: usize, attr: usize) {
-        let _ = (rule, attr);
+    fn on(&self, event: RepairEvent<'_>) {
+        let _ = event;
     }
 
-    /// A tuple finished repairing after `rounds` chase rounds / queue pops
-    /// with `updates` cell updates.
+    /// The opt-in events this observer consumes. Defaults to
+    /// [`Interest::NONE`], so under [`NoopObserver`] the drivers' timing
+    /// and row-copy branches monomorphize away.
     #[inline]
-    fn tuple_done(&self, rounds: usize, updates: usize) {
-        let _ = (rounds, updates);
-    }
-
-    /// `count` tuples finished with identical per-tuple stats — the
-    /// columnar driver coalesces the members of one signature group into a
-    /// single call so aggregating observers pay O(1) instead of O(members).
-    /// The default replays [`RepairObserver::tuple_done`] `count` times, so
-    /// per-tuple observers see the same call multiset (batched calls are
-    /// flushed per batch, so ordering relative to other hooks may differ
-    /// from the `cRepair`/`lRepair` oracles; final aggregates do not).
-    #[inline]
-    fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
-        for _ in 0..count {
-            self.tuple_done(rounds, updates);
-        }
-    }
-
-    /// `lRepair` consulted an inverted list and found `rules_hit` rules.
-    #[inline]
-    fn index_probe(&self, rules_hit: usize) {
-        let _ = rules_hit;
-    }
-
-    /// A hash counter reached its `|X|` target and the rule was enqueued.
-    #[inline]
-    fn counter_saturated(&self) {}
-
-    /// A parallel worker finished its shard.
-    #[inline]
-    fn worker_done(&self, worker: usize, rows: usize, updates: usize, busy_ns: u64) {
-        let _ = (worker, rows, updates, busy_ns);
-    }
-
-    /// The columnar driver grouped one batch by tuple signature: `rows`
-    /// rows fell into `groups` distinct signatures, and `scattered` rows
-    /// were repaired by scattering a group plan instead of an engine run
-    /// or cache probe.
-    #[inline]
-    fn batch_grouped(&self, rows: usize, groups: usize, scattered: usize) {
-        let _ = (rows, groups, scattered);
-    }
-
-    /// The streaming driver wrote one record; `vocab` is the interner size.
-    #[inline]
-    fn stream_record(&self, vocab: usize) {
-        let _ = vocab;
-    }
-
-    /// The compiled engine probed one evidence-group dispatch table and found
-    /// `rules_hit` matching rules.
-    #[inline]
-    fn plan_probe(&self, rules_hit: usize) {
-        let _ = rules_hit;
-    }
-
-    /// The grouped core looked a tuple signature up in the plan cache.
-    #[inline]
-    fn plan_cache_lookup(&self, hit: bool) {
-        let _ = hit;
-    }
-
-    /// The plan cache evicted an entry to stay within its capacity.
-    #[inline]
-    fn plan_cache_evicted(&self) {}
-
-    /// A consistency checker examined `pairs` rule pairs.
-    #[inline]
-    fn pairs_checked(&self, pairs: usize) {
-        let _ = pairs;
-    }
-
-    /// A consistency checker found a conflicting pair; `case` is the
-    /// Fig 4 characterization case name.
-    #[inline]
-    fn conflict_found(&self, case: &'static str) {
-        let _ = case;
-    }
-
-    /// The static analyzer (`fixlint`) emitted one finding; `code` is the
-    /// stable diagnostic code (`FR001`, ...) and `severity` its severity
-    /// name (`error`/`warning`/`note`).
-    #[inline]
-    fn lint_finding(&self, code: &'static str, severity: &'static str) {
-        let _ = (code, severity);
-    }
-
-    /// A table/stream driver applied one fix, with full values — the
-    /// provenance hook. Called once per update after each tuple completes
-    /// (the drivers know the row index there; per-tuple algorithms don't).
-    #[inline]
-    fn cell_repaired(&self, fix: CellFix) {
-        let _ = fix;
-    }
-
-    /// A rule was evaluated against a tuple's evidence but did not fire —
-    /// an evidence-pattern mismatch, an already-assured B cell, or a
-    /// failed post-probe re-verification. The per-rule miss companion to
-    /// [`RepairObserver::rule_applied`].
-    #[inline]
-    fn rule_rejected(&self, rule: usize) {
-        let _ = rule;
-    }
-
-    /// Wall-clock nanoseconds one evaluation of `rule` took (whether it
-    /// fired or not). Drivers only call this when
-    /// [`RepairObserver::wants_rule_timing`] returns true, so the
-    /// `Instant::now` pair is skipped entirely otherwise.
-    #[inline]
-    fn rule_latency(&self, rule: usize, ns: u64) {
-        let _ = (rule, ns);
-    }
-
-    /// A plan-cache replay re-applied `rule` to attribute `attr`. Fires
-    /// alongside [`RepairObserver::rule_applied`] during replays,
-    /// attributing the application to a memoized plan rather than a live
-    /// evaluation.
-    #[inline]
-    fn plan_replayed(&self, rule: usize, attr: usize) {
-        let _ = (rule, attr);
-    }
-
-    /// A consistency checker materialized a witness tuple for a conflict.
-    #[inline]
-    fn witness_found(&self) {}
-
-    /// The certifier (`fixcert`) examined `pairs` interaction-graph pairs
-    /// for confluence.
-    #[inline]
-    fn cert_pair_checked(&self, pairs: usize) {
-        let _ = pairs;
-    }
-
-    /// The certifier executed one synthesized witness tuple through the
-    /// compiled chase engine (two rule orders count as one run).
-    #[inline]
-    fn cert_witness_run(&self) {}
-
-    /// The certifier emitted one finding (`FR009`/`FR010`/`FR011`).
-    #[inline]
-    fn cert_finding(&self, code: &'static str, severity: &'static str) {
-        let _ = (code, severity);
-    }
-
-    /// A certification pass finished; `certified` is the verdict.
-    #[inline]
-    fn cert_completed(&self, certified: bool) {
-        let _ = certified;
-    }
-
-    /// Whether this observer consumes [`RepairObserver::rule_latency`].
-    /// Defaults to false; under [`NoopObserver`] the drivers' timing
-    /// branches monomorphize away, keeping the uninstrumented hot path.
-    #[inline]
-    fn wants_rule_timing(&self) -> bool {
-        false
-    }
-
-    /// A driver is about to repair one row; `values` are the row's
-    /// *pre-repair* interned symbol ids in attribute order. The quality
-    /// monitor's window-feeding hook — pairs with
-    /// [`RepairObserver::cell_repaired`], which reports what changed.
-    /// Drivers only call this when [`RepairObserver::wants_rows`]
-    /// returns true, so the pre-repair copy is skipped entirely
-    /// otherwise.
-    #[inline]
-    fn row_observed(&self, values: &[u32]) {
-        let _ = values;
-    }
-
-    /// Whether this observer consumes [`RepairObserver::row_observed`].
-    /// Defaults to false; under [`NoopObserver`] the drivers' row-copy
-    /// branches monomorphize away, keeping the uninstrumented hot path.
-    #[inline]
-    fn wants_rows(&self) -> bool {
-        false
+    fn interest(&self) -> Interest {
+        Interest::NONE
     }
 }
 
@@ -240,138 +191,13 @@ pub trait RepairObserver: Sync {
 /// monomorphizing a new driver per observer stack.
 impl<T: RepairObserver + ?Sized> RepairObserver for &T {
     #[inline]
-    fn chase_round(&self) {
-        (**self).chase_round();
+    fn on(&self, event: RepairEvent<'_>) {
+        (**self).on(event);
     }
 
     #[inline]
-    fn rule_applied(&self, rule: usize, attr: usize) {
-        (**self).rule_applied(rule, attr);
-    }
-
-    #[inline]
-    fn tuple_done(&self, rounds: usize, updates: usize) {
-        (**self).tuple_done(rounds, updates);
-    }
-
-    #[inline]
-    fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
-        (**self).tuples_done(rounds, updates, count);
-    }
-
-    #[inline]
-    fn index_probe(&self, rules_hit: usize) {
-        (**self).index_probe(rules_hit);
-    }
-
-    #[inline]
-    fn counter_saturated(&self) {
-        (**self).counter_saturated();
-    }
-
-    #[inline]
-    fn worker_done(&self, worker: usize, rows: usize, updates: usize, busy_ns: u64) {
-        (**self).worker_done(worker, rows, updates, busy_ns);
-    }
-
-    #[inline]
-    fn batch_grouped(&self, rows: usize, groups: usize, scattered: usize) {
-        (**self).batch_grouped(rows, groups, scattered);
-    }
-
-    #[inline]
-    fn stream_record(&self, vocab: usize) {
-        (**self).stream_record(vocab);
-    }
-
-    #[inline]
-    fn plan_probe(&self, rules_hit: usize) {
-        (**self).plan_probe(rules_hit);
-    }
-
-    #[inline]
-    fn plan_cache_lookup(&self, hit: bool) {
-        (**self).plan_cache_lookup(hit);
-    }
-
-    #[inline]
-    fn plan_cache_evicted(&self) {
-        (**self).plan_cache_evicted();
-    }
-
-    #[inline]
-    fn pairs_checked(&self, pairs: usize) {
-        (**self).pairs_checked(pairs);
-    }
-
-    #[inline]
-    fn conflict_found(&self, case: &'static str) {
-        (**self).conflict_found(case);
-    }
-
-    #[inline]
-    fn lint_finding(&self, code: &'static str, severity: &'static str) {
-        (**self).lint_finding(code, severity);
-    }
-
-    #[inline]
-    fn cell_repaired(&self, fix: CellFix) {
-        (**self).cell_repaired(fix);
-    }
-
-    #[inline]
-    fn rule_rejected(&self, rule: usize) {
-        (**self).rule_rejected(rule);
-    }
-
-    #[inline]
-    fn rule_latency(&self, rule: usize, ns: u64) {
-        (**self).rule_latency(rule, ns);
-    }
-
-    #[inline]
-    fn plan_replayed(&self, rule: usize, attr: usize) {
-        (**self).plan_replayed(rule, attr);
-    }
-
-    #[inline]
-    fn witness_found(&self) {
-        (**self).witness_found();
-    }
-
-    #[inline]
-    fn cert_pair_checked(&self, pairs: usize) {
-        (**self).cert_pair_checked(pairs);
-    }
-
-    #[inline]
-    fn cert_witness_run(&self) {
-        (**self).cert_witness_run();
-    }
-
-    #[inline]
-    fn cert_finding(&self, code: &'static str, severity: &'static str) {
-        (**self).cert_finding(code, severity);
-    }
-
-    #[inline]
-    fn cert_completed(&self, certified: bool) {
-        (**self).cert_completed(certified);
-    }
-
-    #[inline]
-    fn wants_rule_timing(&self) -> bool {
-        (**self).wants_rule_timing()
-    }
-
-    #[inline]
-    fn row_observed(&self, values: &[u32]) {
-        (**self).row_observed(values);
-    }
-
-    #[inline]
-    fn wants_rows(&self) -> bool {
-        (**self).wants_rows()
+    fn interest(&self) -> Interest {
+        (**self).interest()
     }
 }
 
@@ -381,185 +207,45 @@ pub struct NoopObserver;
 
 impl RepairObserver for NoopObserver {}
 
-/// Fans every hook out to two observers, so e.g. a `MetricsObserver` and a
+/// Fans every event out to two observers, so e.g. a `MetricsObserver` and a
 /// provenance ledger can watch the same repair run: `Tee(&metrics, &prov)`.
 #[derive(Debug, Clone, Copy)]
 pub struct Tee<'a, A: ?Sized, B: ?Sized>(pub &'a A, pub &'a B);
 
 impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for Tee<'_, A, B> {
     #[inline]
-    fn chase_round(&self) {
-        self.0.chase_round();
-        self.1.chase_round();
+    fn on(&self, event: RepairEvent<'_>) {
+        self.0.on(event);
+        self.1.on(event);
     }
 
     #[inline]
-    fn rule_applied(&self, rule: usize, attr: usize) {
-        self.0.rule_applied(rule, attr);
-        self.1.rule_applied(rule, attr);
-    }
-
-    #[inline]
-    fn tuple_done(&self, rounds: usize, updates: usize) {
-        self.0.tuple_done(rounds, updates);
-        self.1.tuple_done(rounds, updates);
-    }
-
-    #[inline]
-    fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
-        self.0.tuples_done(rounds, updates, count);
-        self.1.tuples_done(rounds, updates, count);
-    }
-
-    #[inline]
-    fn index_probe(&self, rules_hit: usize) {
-        self.0.index_probe(rules_hit);
-        self.1.index_probe(rules_hit);
-    }
-
-    #[inline]
-    fn counter_saturated(&self) {
-        self.0.counter_saturated();
-        self.1.counter_saturated();
-    }
-
-    #[inline]
-    fn worker_done(&self, worker: usize, rows: usize, updates: usize, busy_ns: u64) {
-        self.0.worker_done(worker, rows, updates, busy_ns);
-        self.1.worker_done(worker, rows, updates, busy_ns);
-    }
-
-    #[inline]
-    fn batch_grouped(&self, rows: usize, groups: usize, scattered: usize) {
-        self.0.batch_grouped(rows, groups, scattered);
-        self.1.batch_grouped(rows, groups, scattered);
-    }
-
-    #[inline]
-    fn stream_record(&self, vocab: usize) {
-        self.0.stream_record(vocab);
-        self.1.stream_record(vocab);
-    }
-
-    #[inline]
-    fn plan_probe(&self, rules_hit: usize) {
-        self.0.plan_probe(rules_hit);
-        self.1.plan_probe(rules_hit);
-    }
-
-    #[inline]
-    fn plan_cache_lookup(&self, hit: bool) {
-        self.0.plan_cache_lookup(hit);
-        self.1.plan_cache_lookup(hit);
-    }
-
-    #[inline]
-    fn plan_cache_evicted(&self) {
-        self.0.plan_cache_evicted();
-        self.1.plan_cache_evicted();
-    }
-
-    #[inline]
-    fn pairs_checked(&self, pairs: usize) {
-        self.0.pairs_checked(pairs);
-        self.1.pairs_checked(pairs);
-    }
-
-    #[inline]
-    fn conflict_found(&self, case: &'static str) {
-        self.0.conflict_found(case);
-        self.1.conflict_found(case);
-    }
-
-    #[inline]
-    fn lint_finding(&self, code: &'static str, severity: &'static str) {
-        self.0.lint_finding(code, severity);
-        self.1.lint_finding(code, severity);
-    }
-
-    #[inline]
-    fn cell_repaired(&self, fix: CellFix) {
-        self.0.cell_repaired(fix);
-        self.1.cell_repaired(fix);
-    }
-
-    #[inline]
-    fn rule_rejected(&self, rule: usize) {
-        self.0.rule_rejected(rule);
-        self.1.rule_rejected(rule);
-    }
-
-    #[inline]
-    fn rule_latency(&self, rule: usize, ns: u64) {
-        self.0.rule_latency(rule, ns);
-        self.1.rule_latency(rule, ns);
-    }
-
-    #[inline]
-    fn plan_replayed(&self, rule: usize, attr: usize) {
-        self.0.plan_replayed(rule, attr);
-        self.1.plan_replayed(rule, attr);
-    }
-
-    #[inline]
-    fn witness_found(&self) {
-        self.0.witness_found();
-        self.1.witness_found();
-    }
-
-    #[inline]
-    fn cert_pair_checked(&self, pairs: usize) {
-        self.0.cert_pair_checked(pairs);
-        self.1.cert_pair_checked(pairs);
-    }
-
-    #[inline]
-    fn cert_witness_run(&self) {
-        self.0.cert_witness_run();
-        self.1.cert_witness_run();
-    }
-
-    #[inline]
-    fn cert_finding(&self, code: &'static str, severity: &'static str) {
-        self.0.cert_finding(code, severity);
-        self.1.cert_finding(code, severity);
-    }
-
-    #[inline]
-    fn cert_completed(&self, certified: bool) {
-        self.0.cert_completed(certified);
-        self.1.cert_completed(certified);
-    }
-
-    #[inline]
-    fn wants_rule_timing(&self) -> bool {
-        self.0.wants_rule_timing() || self.1.wants_rule_timing()
-    }
-
-    #[inline]
-    fn row_observed(&self, values: &[u32]) {
-        self.0.row_observed(values);
-        self.1.row_observed(values);
-    }
-
-    #[inline]
-    fn wants_rows(&self) -> bool {
-        self.0.wants_rows() || self.1.wants_rows()
+    fn interest(&self) -> Interest {
+        self.0.interest() | self.1.interest()
     }
 }
 
-/// Counter/histogram names written by [`MetricsObserver`], in snapshot
-/// (sorted) order. Kept public so tests and docs stay in sync with the
-/// implementation.
+/// Every metric name [`MetricsObserver`] can write: counters, the
+/// `stream.vocab` gauge and histograms alike, sorted. A `<...>` segment
+/// stands for a family of dynamic names (`repair.worker.<i>.rows` covers
+/// `repair.worker.0.rows`, ...). A test checks the list against a
+/// snapshot in both directions.
 pub const METRIC_NAMES: &[&str] = &[
+    "cert.certified",
     "cert.findings",
+    "cert.findings.<code>",
     "cert.pairs_checked",
     "cert.passes",
+    "cert.rejected",
+    "cert.severity.<s>",
     "cert.witness_runs",
     "consistency.conflicts",
+    "consistency.conflicts.<case>",
     "consistency.pairs_checked",
     "consistency.witness_found",
     "lint.findings",
+    "lint.findings.<code>",
+    "lint.severity.<s>",
     "repair.batch.groups",
     "repair.batch.rows",
     "repair.batch.scattered",
@@ -573,18 +259,25 @@ pub const METRIC_NAMES: &[&str] = &[
     "repair.plan_cache.misses",
     "repair.queue.enqueued",
     "repair.rules_applied",
+    "repair.tuple_rounds",
+    "repair.tuple_updates",
     "repair.tuples",
     "repair.tuples_touched",
     "repair.updates",
+    "repair.worker.<i>.busy_ns",
+    "repair.worker.<i>.rows",
+    "repair.worker.<i>.updates",
+    "repair.worker.busy_ns",
     "stream.records",
+    "stream.vocab",
 ];
 
 /// A [`RepairObserver`] that aggregates into a [`MetricsRegistry`].
 ///
-/// Handles are resolved once at construction; each hook is one or two
-/// relaxed atomic ops. Per-worker and per-conflict-case metrics use
-/// dynamic names (`repair.worker.<i>.rows`, `consistency.conflicts.<case>`)
-/// and take the registry lock, but only fire once per worker / conflict.
+/// Handles are resolved once at construction; each event is one or two
+/// relaxed atomic ops. Metrics with dynamic names
+/// (`repair.worker.<i>.rows`, `lint.findings.<code>`, ...) take the
+/// registry lock, but fire once per worker, conflict or finding.
 #[derive(Debug, Clone)]
 pub struct MetricsObserver {
     registry: MetricsRegistry,
@@ -657,29 +350,6 @@ impl MetricsObserver {
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
-}
-
-impl RepairObserver for MetricsObserver {
-    #[inline]
-    fn chase_round(&self) {
-        self.chase_rounds.inc();
-    }
-
-    #[inline]
-    fn rule_applied(&self, _rule: usize, _attr: usize) {
-        self.rules_applied.inc();
-    }
-
-    #[inline]
-    fn tuple_done(&self, rounds: usize, updates: usize) {
-        self.tuples.inc();
-        if updates > 0 {
-            self.tuples_touched.inc();
-            self.updates.add(updates as u64);
-        }
-        self.tuple_rounds.record(rounds as u64);
-        self.tuple_updates.record(updates as u64);
-    }
 
     #[inline]
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
@@ -696,127 +366,220 @@ impl RepairObserver for MetricsObserver {
         self.tuple_updates.record_n(updates as u64, n);
     }
 
-    #[inline]
-    fn index_probe(&self, rules_hit: usize) {
-        self.probes.inc();
-        self.probe_hits.add(rules_hit as u64);
-    }
-
-    #[inline]
-    fn counter_saturated(&self) {
-        self.enqueued.inc();
-    }
-
-    #[inline]
-    fn plan_probe(&self, rules_hit: usize) {
-        self.plan_probes.inc();
-        self.plan_probe_hits.add(rules_hit as u64);
-    }
-
-    #[inline]
-    fn plan_cache_lookup(&self, hit: bool) {
-        if hit {
-            self.plan_hits.inc();
-        } else {
-            self.plan_misses.inc();
+    /// Events whose metric names are built at run time: they take the
+    /// registry lock, but fire once per worker, conflict or finding.
+    #[cold]
+    #[inline(never)]
+    fn on_dynamic(&self, event: RepairEvent<'_>) {
+        let reg = &self.registry;
+        match event {
+            RepairEvent::WorkerDone {
+                worker,
+                rows,
+                updates,
+                busy_ns,
+            } => {
+                reg.counter(&format!("repair.worker.{worker}.rows"))
+                    .add(rows as u64);
+                reg.counter(&format!("repair.worker.{worker}.updates"))
+                    .add(updates as u64);
+                reg.counter(&format!("repair.worker.{worker}.busy_ns"))
+                    .add(busy_ns);
+                reg.histogram("repair.worker.busy_ns").record(busy_ns);
+            }
+            RepairEvent::ConflictFound { case } => {
+                self.conflicts.inc();
+                reg.counter(&format!("consistency.conflicts.{case}")).inc();
+            }
+            RepairEvent::LintFinding { code, severity } => {
+                self.lint_findings.inc();
+                reg.counter(&format!("lint.findings.{code}")).inc();
+                reg.counter(&format!("lint.severity.{severity}")).inc();
+            }
+            RepairEvent::CertFinding { code, severity } => {
+                self.cert_findings.inc();
+                reg.counter(&format!("cert.findings.{code}")).inc();
+                reg.counter(&format!("cert.severity.{severity}")).inc();
+            }
+            RepairEvent::CertCompleted { certified } => {
+                self.cert_passes.inc();
+                reg.counter(if certified {
+                    "cert.certified"
+                } else {
+                    "cert.rejected"
+                })
+                .inc();
+            }
+            _ => {}
         }
     }
+}
 
-    #[inline]
-    fn plan_cache_evicted(&self) {
-        self.plan_evictions.inc();
-    }
-
-    #[inline]
-    fn batch_grouped(&self, rows: usize, groups: usize, scattered: usize) {
-        self.batch_rows.add(rows as u64);
-        self.batch_groups.add(groups as u64);
-        self.batch_scattered.add(scattered as u64);
-    }
-
-    fn worker_done(&self, worker: usize, rows: usize, updates: usize, busy_ns: u64) {
-        self.registry
-            .counter(&format!("repair.worker.{worker}.rows"))
-            .add(rows as u64);
-        self.registry
-            .counter(&format!("repair.worker.{worker}.updates"))
-            .add(updates as u64);
-        self.registry
-            .counter(&format!("repair.worker.{worker}.busy_ns"))
-            .add(busy_ns);
-        self.registry
-            .histogram("repair.worker.busy_ns")
-            .record(busy_ns);
-    }
-
-    #[inline]
-    fn stream_record(&self, vocab: usize) {
-        self.stream_records.inc();
-        self.stream_vocab.max(vocab as i64);
-    }
-
-    #[inline]
-    fn pairs_checked(&self, pairs: usize) {
-        self.pairs_checked.add(pairs as u64);
-    }
-
-    fn conflict_found(&self, case: &'static str) {
-        self.conflicts.inc();
-        self.registry
-            .counter(&format!("consistency.conflicts.{case}"))
-            .inc();
-    }
-
-    #[inline]
-    fn witness_found(&self) {
-        self.witnesses.inc();
-    }
-
-    fn lint_finding(&self, code: &'static str, severity: &'static str) {
-        self.lint_findings.inc();
-        self.registry
-            .counter(&format!("lint.findings.{code}"))
-            .inc();
-        self.registry
-            .counter(&format!("lint.severity.{severity}"))
-            .inc();
-    }
-
-    #[inline]
-    fn cert_pair_checked(&self, pairs: usize) {
-        self.cert_pairs.add(pairs as u64);
-    }
-
-    #[inline]
-    fn cert_witness_run(&self) {
-        self.cert_witness_runs.inc();
-    }
-
-    fn cert_finding(&self, code: &'static str, severity: &'static str) {
-        self.cert_findings.inc();
-        self.registry
-            .counter(&format!("cert.findings.{code}"))
-            .inc();
-        self.registry
-            .counter(&format!("cert.severity.{severity}"))
-            .inc();
-    }
-
-    fn cert_completed(&self, certified: bool) {
-        self.cert_passes.inc();
-        self.registry
-            .counter(if certified {
-                "cert.certified"
-            } else {
-                "cert.rejected"
-            })
-            .inc();
+impl RepairObserver for MetricsObserver {
+    // Always inlined: at a monomorphized call site the event variant is a
+    // constant, so the match folds to that variant's one or two atomics.
+    #[inline(always)]
+    fn on(&self, event: RepairEvent<'_>) {
+        match event {
+            RepairEvent::ChaseRound => self.chase_rounds.inc(),
+            RepairEvent::RuleApplied { .. } => self.rules_applied.inc(),
+            RepairEvent::TuplesDone {
+                rounds,
+                updates,
+                count,
+            } => self.tuples_done(rounds, updates, count),
+            RepairEvent::IndexProbe { hits } => {
+                self.probes.inc();
+                self.probe_hits.add(hits as u64);
+            }
+            RepairEvent::CounterSaturated => self.enqueued.inc(),
+            RepairEvent::PlanProbe { hits } => {
+                self.plan_probes.inc();
+                self.plan_probe_hits.add(hits as u64);
+            }
+            RepairEvent::PlanCacheLookup { hit: true } => self.plan_hits.inc(),
+            RepairEvent::PlanCacheLookup { hit: false } => self.plan_misses.inc(),
+            RepairEvent::PlanCacheEvicted => self.plan_evictions.inc(),
+            RepairEvent::BatchGrouped {
+                rows,
+                groups,
+                scattered,
+            } => {
+                self.batch_rows.add(rows as u64);
+                self.batch_groups.add(groups as u64);
+                self.batch_scattered.add(scattered as u64);
+            }
+            RepairEvent::StreamRecords { count, vocab } => {
+                self.stream_records.add(count as u64);
+                self.stream_vocab.max(vocab as i64);
+            }
+            RepairEvent::PairsChecked { pairs } => self.pairs_checked.add(pairs as u64),
+            RepairEvent::WitnessFound => self.witnesses.inc(),
+            RepairEvent::CertPairsChecked { pairs } => self.cert_pairs.add(pairs as u64),
+            RepairEvent::CertWitnessRun => self.cert_witness_runs.inc(),
+            RepairEvent::WorkerDone { .. }
+            | RepairEvent::ConflictFound { .. }
+            | RepairEvent::LintFinding { .. }
+            | RepairEvent::CertFinding { .. }
+            | RepairEvent::CertCompleted { .. } => self.on_dynamic(event),
+            // Per-rule and per-cell detail is for attribution, provenance
+            // and quality observers.
+            _ => {}
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    fn tuples(rounds: usize, updates: usize, count: usize) -> RepairEvent<'static> {
+        RepairEvent::TuplesDone {
+            rounds,
+            updates,
+            count,
+        }
+    }
+
+    /// One sample of every [`RepairEvent`] variant (both values of the
+    /// two-valued ones), checked by the exhaustive `match` below: it has
+    /// no `_` arm, so a new variant does not compile until it is listed
+    /// there — and then the variant count no longer ties out until it has
+    /// a sample here too.
+    fn one_of_each(row: &[u32]) -> Vec<RepairEvent<'_>> {
+        const VARIANTS: usize = 24;
+        let fix = CellFix {
+            row: 0,
+            ordinal: 0,
+            rule: 0,
+            attr: 2,
+            old: 1,
+            new: 2,
+            round: 1,
+        };
+        let samples = vec![
+            RepairEvent::ChaseRound,
+            RepairEvent::RuleApplied { rule: 0, attr: 2 },
+            RepairEvent::RuleRejected { rule: 0 },
+            RepairEvent::RuleLatency { rule: 0, ns: 10 },
+            RepairEvent::PlanReplayed { rule: 0, attr: 2 },
+            tuples(2, 3, 4),
+            RepairEvent::IndexProbe { hits: 3 },
+            RepairEvent::CounterSaturated,
+            RepairEvent::PlanProbe { hits: 2 },
+            RepairEvent::PlanCacheLookup { hit: true },
+            RepairEvent::PlanCacheLookup { hit: false },
+            RepairEvent::PlanCacheEvicted,
+            RepairEvent::BatchGrouped {
+                rows: 100,
+                groups: 7,
+                scattered: 93,
+            },
+            RepairEvent::WorkerDone {
+                worker: 1,
+                rows: 500,
+                updates: 20,
+                busy_ns: 1_000,
+            },
+            RepairEvent::StreamRecords {
+                count: 2,
+                vocab: 256,
+            },
+            RepairEvent::RowObserved(row),
+            RepairEvent::CellRepaired(fix),
+            RepairEvent::PairsChecked { pairs: 6 },
+            RepairEvent::ConflictFound { case: "Mutual" },
+            RepairEvent::WitnessFound,
+            RepairEvent::LintFinding {
+                code: "FR001",
+                severity: "error",
+            },
+            RepairEvent::CertPairsChecked { pairs: 3 },
+            RepairEvent::CertWitnessRun,
+            RepairEvent::CertFinding {
+                code: "FR009",
+                severity: "error",
+            },
+            RepairEvent::CertCompleted { certified: true },
+            RepairEvent::CertCompleted { certified: false },
+        ];
+        let variants: BTreeSet<&str> = samples
+            .iter()
+            .map(|event| match event {
+                RepairEvent::ChaseRound => "ChaseRound",
+                RepairEvent::RuleApplied { .. } => "RuleApplied",
+                RepairEvent::RuleRejected { .. } => "RuleRejected",
+                RepairEvent::RuleLatency { .. } => "RuleLatency",
+                RepairEvent::PlanReplayed { .. } => "PlanReplayed",
+                RepairEvent::TuplesDone { .. } => "TuplesDone",
+                RepairEvent::IndexProbe { .. } => "IndexProbe",
+                RepairEvent::CounterSaturated => "CounterSaturated",
+                RepairEvent::PlanProbe { .. } => "PlanProbe",
+                RepairEvent::PlanCacheLookup { .. } => "PlanCacheLookup",
+                RepairEvent::PlanCacheEvicted => "PlanCacheEvicted",
+                RepairEvent::BatchGrouped { .. } => "BatchGrouped",
+                RepairEvent::WorkerDone { .. } => "WorkerDone",
+                RepairEvent::StreamRecords { .. } => "StreamRecords",
+                RepairEvent::RowObserved(_) => "RowObserved",
+                RepairEvent::CellRepaired(_) => "CellRepaired",
+                RepairEvent::PairsChecked { .. } => "PairsChecked",
+                RepairEvent::ConflictFound { .. } => "ConflictFound",
+                RepairEvent::WitnessFound => "WitnessFound",
+                RepairEvent::LintFinding { .. } => "LintFinding",
+                RepairEvent::CertPairsChecked { .. } => "CertPairsChecked",
+                RepairEvent::CertWitnessRun => "CertWitnessRun",
+                RepairEvent::CertFinding { .. } => "CertFinding",
+                RepairEvent::CertCompleted { .. } => "CertCompleted",
+            })
+            .collect();
+        assert_eq!(
+            variants.len(),
+            VARIANTS,
+            "a RepairEvent variant has no sample"
+        );
+        samples
+    }
 
     #[test]
     fn noop_observer_is_zero_sized() {
@@ -825,21 +588,17 @@ mod tests {
 
     #[test]
     fn batched_tuples_done_matches_repeated_tuple_done() {
-        // The columnar driver's coalesced hook must leave every counter
-        // and histogram exactly where `count` individual calls would.
+        // The grouped core's coalesced event must leave every counter and
+        // histogram exactly where `count` single-tuple events would.
         let reg_one = MetricsRegistry::new();
         let reg_n = MetricsRegistry::new();
         let one = MetricsObserver::new(&reg_one);
         let batched = MetricsObserver::new(&reg_n);
-        for _ in 0..7 {
-            one.tuple_done(2, 3);
-        }
-        for _ in 0..5 {
-            one.tuple_done(1, 0);
-        }
-        batched.tuples_done(2, 3, 7);
-        batched.tuples_done(1, 0, 5);
-        batched.tuples_done(9, 9, 0); // no-op
+        (0..7).for_each(|_| one.on(tuples(2, 3, 1)));
+        (0..5).for_each(|_| one.on(tuples(1, 0, 1)));
+        batched.on(tuples(2, 3, 7));
+        batched.on(tuples(1, 0, 5));
+        batched.on(tuples(9, 9, 0)); // no-op
         assert_eq!(reg_one.snapshot().to_string(), reg_n.snapshot().to_string());
     }
 
@@ -847,106 +606,96 @@ mod tests {
     fn metrics_observer_aggregates_hooks() {
         let reg = MetricsRegistry::new();
         let obs = MetricsObserver::new(&reg);
-        obs.chase_round();
-        obs.rule_applied(0, 2);
-        obs.rule_applied(3, 1);
-        obs.tuple_done(2, 2);
-        obs.tuple_done(1, 0);
-        obs.index_probe(3);
-        obs.index_probe(0);
-        obs.counter_saturated();
-        obs.plan_probe(2);
-        obs.plan_probe(0);
-        obs.plan_cache_lookup(true);
-        obs.plan_cache_lookup(true);
-        obs.plan_cache_lookup(false);
-        obs.plan_cache_evicted();
-        obs.batch_grouped(100, 7, 93);
-        obs.worker_done(1, 500, 20, 1_000);
-        obs.stream_record(128);
-        obs.stream_record(256);
-        obs.pairs_checked(6);
-        obs.conflict_found("Mutual");
-        obs.lint_finding("FR001", "error");
-        obs.lint_finding("FR002", "warning");
-
+        for event in one_of_each(&[1, 2]) {
+            obs.on(event);
+        }
+        // A clean tuple counts but touches nothing; a smaller vocabulary
+        // leaves the gauge at its maximum.
+        obs.on(tuples(1, 0, 1));
+        obs.on(RepairEvent::StreamRecords {
+            count: 1,
+            vocab: 128,
+        });
         let snap = reg.snapshot();
         let counters = snap.get("counters").unwrap();
-        let get = |name: &str| counters.get(name).and_then(|v| v.as_i64()).unwrap();
-        assert_eq!(get("repair.chase.rounds"), 1);
-        assert_eq!(get("repair.rules_applied"), 2);
-        assert_eq!(get("repair.tuples"), 2);
-        assert_eq!(get("repair.tuples_touched"), 1);
-        assert_eq!(get("repair.updates"), 2);
-        assert_eq!(get("repair.index.probes"), 2);
-        assert_eq!(get("repair.index.probe_hits"), 3);
-        assert_eq!(get("repair.queue.enqueued"), 1);
-        assert_eq!(get("repair.plan.probes"), 2);
-        assert_eq!(get("repair.plan.probe_hits"), 2);
-        assert_eq!(get("repair.plan_cache.hits"), 2);
-        assert_eq!(get("repair.plan_cache.misses"), 1);
-        assert_eq!(get("repair.plan_cache.evictions"), 1);
-        assert_eq!(get("repair.batch.rows"), 100);
-        assert_eq!(get("repair.batch.groups"), 7);
-        assert_eq!(get("repair.batch.scattered"), 93);
-        assert_eq!(get("repair.worker.1.rows"), 500);
-        assert_eq!(get("stream.records"), 2);
-        assert_eq!(get("consistency.pairs_checked"), 6);
-        assert_eq!(get("consistency.conflicts"), 1);
-        assert_eq!(get("consistency.conflicts.Mutual"), 1);
-        assert_eq!(get("lint.findings"), 2);
-        assert_eq!(get("lint.findings.FR001"), 1);
-        assert_eq!(get("lint.severity.warning"), 1);
-        assert_eq!(
-            snap.get("gauges")
-                .unwrap()
-                .get("stream.vocab")
-                .unwrap()
-                .as_i64(),
-            Some(256)
-        );
-        assert_eq!(
-            snap.get("histograms")
-                .unwrap()
-                .get("repair.tuple_updates")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_i64(),
-            Some(2)
-        );
+        for (name, want) in [
+            ("repair.chase.rounds", 1),
+            ("repair.rules_applied", 1),
+            ("repair.tuples", 5),
+            ("repair.tuples_touched", 4),
+            ("repair.updates", 12),
+            ("repair.index.probes", 1),
+            ("repair.index.probe_hits", 3),
+            ("repair.queue.enqueued", 1),
+            ("repair.plan.probes", 1),
+            ("repair.plan.probe_hits", 2),
+            ("repair.plan_cache.hits", 1),
+            ("repair.plan_cache.misses", 1),
+            ("repair.plan_cache.evictions", 1),
+            ("repair.batch.rows", 100),
+            ("repair.batch.groups", 7),
+            ("repair.batch.scattered", 93),
+            ("repair.worker.1.rows", 500),
+            ("repair.worker.1.updates", 20),
+            ("stream.records", 3),
+            ("consistency.pairs_checked", 6),
+            ("consistency.conflicts", 1),
+            ("consistency.conflicts.Mutual", 1),
+            ("lint.findings", 1),
+            ("lint.findings.FR001", 1),
+            ("lint.severity.error", 1),
+            ("cert.passes", 2),
+            ("cert.certified", 1),
+            ("cert.rejected", 1),
+        ] {
+            assert_eq!(
+                counters.get(name).and_then(|v| v.as_i64()),
+                Some(want),
+                "{name}"
+            );
+        }
+        let gauges = snap.get("gauges").unwrap();
+        assert_eq!(gauges.get("stream.vocab").unwrap().as_i64(), Some(256));
+        let updates = snap.get("histograms").unwrap().get("repair.tuple_updates");
+        assert_eq!(updates.unwrap().get("count").unwrap().as_i64(), Some(5));
+    }
+
+    /// The [`METRIC_NAMES`] entry that covers the concrete metric `name`, or
+    /// `None` if `MetricsObserver` never writes it. A `<...>` segment matches
+    /// any one non-empty segment.
+    fn metric_catalog_entry(name: &str) -> Option<&'static str> {
+        let segments: Vec<&str> = name.split('.').collect();
+        METRIC_NAMES.iter().copied().find(|entry| {
+            entry.split('.').count() == segments.len()
+                && (entry.split('.').zip(&segments)).all(|(w, g)| w == *g || w.starts_with('<'))
+        })
     }
 
     #[test]
     fn documented_metric_names_all_appear() {
         let reg = MetricsRegistry::new();
         let obs = MetricsObserver::new(&reg);
-        obs.chase_round();
-        obs.rule_applied(0, 0);
-        obs.tuple_done(1, 1);
-        obs.index_probe(1);
-        obs.counter_saturated();
-        obs.plan_probe(1);
-        obs.plan_cache_lookup(true);
-        obs.plan_cache_lookup(false);
-        obs.plan_cache_evicted();
-        obs.batch_grouped(2, 1, 1);
-        obs.stream_record(1);
-        obs.pairs_checked(1);
-        obs.conflict_found("BiInXj");
-        obs.witness_found();
-        obs.lint_finding("FR001", "error");
-        obs.cert_pair_checked(3);
-        obs.cert_witness_run();
-        obs.cert_finding("FR009", "error");
-        obs.cert_completed(false);
+        for event in one_of_each(&[1, 2]) {
+            obs.on(event);
+        }
         let snap = reg.snapshot();
-        let counters = snap.get("counters").unwrap().as_obj().unwrap();
-        for name in METRIC_NAMES {
+        // Snapshot → catalog: nothing is emitted undocumented.
+        let mut covered = BTreeSet::new();
+        for kind in ["counters", "gauges", "histograms"] {
+            for name in snap.get(kind).unwrap().as_obj().unwrap().keys() {
+                covered.insert(metric_catalog_entry(name).expect(name));
+            }
+        }
+        // Catalog → snapshot: every documented name is really emitted.
+        for entry in METRIC_NAMES {
             assert!(
-                counters.contains_key(*name),
-                "missing documented metric {name}"
+                covered.contains(entry),
+                "documented metric {entry} never appears"
             );
         }
+        assert!(
+            METRIC_NAMES.windows(2).all(|w| w[0] < w[1]),
+            "keep it sorted"
+        );
     }
 }

@@ -34,7 +34,7 @@ use std::sync::Mutex;
 
 use crate::json::Json;
 use crate::metrics::MetricsRegistry;
-use crate::observer::{CellFix, RepairObserver};
+use crate::observer::{CellFix, Interest, RepairEvent, RepairObserver};
 use crate::sketch::{splitmix64, CountMinSketch, DistinctCounter, Reservoir, SlotBloom};
 
 /// A per-window quality signal an [`AlertRule`] can threshold.
@@ -570,10 +570,10 @@ struct Inner {
 /// signal definitions and determinism contract.
 ///
 /// Implements [`RepairObserver`]: feed it by teeing it into a repair
-/// driver's observer chain (it answers [`RepairObserver::wants_rows`]
-/// with `true` so drivers materialize pre-repair rows), or call
-/// [`RepairObserver::row_observed`] / [`RepairObserver::cell_repaired`]
-/// directly as `fixd` does.
+/// driver's observer chain (its [`RepairObserver::interest`] asks for
+/// [`Interest::ROWS`], so drivers materialize pre-repair rows as
+/// [`RepairEvent::RowObserved`] ahead of that row's
+/// [`RepairEvent::CellRepaired`] fixes).
 #[derive(Debug)]
 pub struct QualityMonitor {
     cfg: QualityConfig,
@@ -863,11 +863,11 @@ impl QualityMonitor {
     }
 }
 
-impl RepairObserver for QualityMonitor {
-    fn row_observed(&self, values: &[u32]) {
+impl QualityMonitor {
+    fn observe_row(&self, values: &[u32]) {
         let mut inner = self.inner.lock().unwrap();
         // Seal lazily on the *next* row, so the last row's
-        // `cell_repaired` events land in the window that observed it.
+        // `CellRepaired` events land in the window that observed it.
         if inner.rows >= self.cfg.window_rows as u64 {
             self.seal(&mut inner);
         }
@@ -902,7 +902,7 @@ impl RepairObserver for QualityMonitor {
         }
     }
 
-    fn cell_repaired(&self, fix: CellFix) {
+    fn record_fix(&self, fix: CellFix) {
         let mut inner = self.inner.lock().unwrap();
         if let Some(aw) = inner.attrs.get_mut(fix.attr) {
             aw.repaired += 1;
@@ -910,9 +910,19 @@ impl RepairObserver for QualityMonitor {
             aw.post_delta.add(fix.new, 1);
         }
     }
+}
 
-    fn wants_rows(&self) -> bool {
-        true
+impl RepairObserver for QualityMonitor {
+    fn on(&self, event: RepairEvent<'_>) {
+        match event {
+            RepairEvent::RowObserved(values) => self.observe_row(values),
+            RepairEvent::CellRepaired(fix) => self.record_fix(fix),
+            _ => {}
+        }
+    }
+
+    fn interest(&self) -> Interest {
+        Interest::ROWS
     }
 }
 
@@ -1020,7 +1030,7 @@ mod tests {
 
     fn feed(monitor: &QualityMonitor, rows: &[&[u32]]) {
         for row in rows {
-            monitor.row_observed(row);
+            monitor.on(RepairEvent::RowObserved(row));
         }
     }
 
@@ -1079,10 +1089,10 @@ mod tests {
     fn repair_rate_counts_cells_per_attribute() {
         let m = QualityMonitor::new(QualityConfig::with_window(4), names(2));
         for _ in 0..4 {
-            m.row_observed(&[1, 2]);
+            m.on(RepairEvent::RowObserved(&[1, 2]));
         }
-        m.cell_repaired(fix(1, 2, 9));
-        m.cell_repaired(fix(1, 2, 9));
+        m.on(RepairEvent::CellRepaired(fix(1, 2, 9)));
+        m.on(RepairEvent::CellRepaired(fix(1, 2, 9)));
         m.flush();
         let w = &m.summaries()[0];
         assert_eq!(w.attrs[0].repaired, 0);
@@ -1175,13 +1185,13 @@ mod tests {
         };
         let m = QualityMonitor::new(cfg, names(2));
         feed(&m, &[&[1, 1], &[1, 1]]);
-        m.cell_repaired(fix(0, 1, 2)); // attr a0 repaired heavily
-        m.cell_repaired(fix(0, 1, 2));
+        m.on(RepairEvent::CellRepaired(fix(0, 1, 2))); // attr a0 repaired heavily
+        m.on(RepairEvent::CellRepaired(fix(0, 1, 2)));
         m.flush();
         assert!(m.active_alerts().is_empty(), "rule scoped to a1");
         feed(&m, &[&[1, 1], &[1, 1]]);
-        m.cell_repaired(fix(1, 1, 2));
-        m.cell_repaired(fix(1, 1, 2));
+        m.on(RepairEvent::CellRepaired(fix(1, 1, 2)));
+        m.on(RepairEvent::CellRepaired(fix(1, 1, 2)));
         m.flush();
         let active = m.active_alerts();
         assert_eq!(active.len(), 1);
@@ -1198,9 +1208,9 @@ mod tests {
             };
             let m = QualityMonitor::new(cfg, vec!["zip".into(), "city".into()]);
             for i in 0..10u32 {
-                m.row_observed(&[i % 4, i % 3]);
+                m.on(RepairEvent::RowObserved(&[i % 4, i % 3]));
                 if i % 5 == 0 {
-                    m.cell_repaired(fix(1, i % 3, 99));
+                    m.on(RepairEvent::CellRepaired(fix(1, i % 3, 99)));
                 }
             }
             m.flush();
@@ -1218,8 +1228,8 @@ mod tests {
         };
         let m = QualityMonitor::new(cfg, names(2));
         for i in 0..6u32 {
-            m.row_observed(&[i % 2, i]);
-            m.cell_repaired(fix(0, i % 2, 77));
+            m.on(RepairEvent::RowObserved(&[i % 2, i]));
+            m.on(RepairEvent::CellRepaired(fix(0, i % 2, 77)));
         }
         m.flush();
         let snapshot = m.snapshot();
@@ -1250,7 +1260,7 @@ mod tests {
         };
         let m = QualityMonitor::new(cfg, names(1));
         for i in 0..10u32 {
-            m.row_observed(&[i]);
+            m.on(RepairEvent::RowObserved(&[i]));
         }
         m.flush();
         let w = m.summaries();
@@ -1266,7 +1276,7 @@ mod tests {
         // unit of mass.
         let m = QualityMonitor::new(QualityConfig::with_window(4), names(1));
         feed(&m, &[&[5], &[5]]);
-        m.cell_repaired(fix(0, 5, 6));
+        m.on(RepairEvent::CellRepaired(fix(0, 5, 6)));
         // Drain the distinct-row batch so the live pre sketch is current.
         m.snapshot();
         let inner = m.inner.lock().unwrap();

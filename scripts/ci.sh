@@ -207,6 +207,31 @@ cmp "$TRACE_DIR/eng_fixd.csv" "$GOLDEN/hosp_dup.repaired.csv" \
     || { echo "fixd CSV reply differs from the oracle golden" >&2; exit 1; }
 echo "-- table, stream and daemon runs match the lRepair oracle goldens"
 
+echo "== full-counter golden smoke =="
+# Every counter, gauge and histogram that `--metrics` writes for repair
+# (three engines), check, lint and certify must match the snapshots in
+# examples/data/golden/*.metrics.txt. The oracle smoke above ignores the
+# engine-work counters; this gate covers them too. Only the stage.*
+# histograms are stripped: they measure wall-clock time.
+metrics_golden() {
+    local name=$1
+    shift
+    "$FIXCTL" "$@" --metrics "$TRACE_DIR/golden_$name.json" >/dev/null || true
+    sed '/"stage\./,/}/d' "$TRACE_DIR/golden_$name.json" \
+        | diff - "$GOLDEN/$name.metrics.txt" \
+        || { echo "fixctl $1 ($name): metrics differ from the golden snapshot" >&2; exit 1; }
+}
+for engine in lrepair linear stream; do
+    metrics_golden "hosp_dup.$engine" repair \
+        --rules examples/rulesets/hosp_zip.frl --data "$TRACE_DIR/hosp_dup.csv" \
+        --engine "$engine" --threads 1 --out "$TRACE_DIR/golden_$engine.csv"
+done
+metrics_golden hosp_dup.check check \
+    --rules examples/rulesets/hosp_zip.frl --data "$TRACE_DIR/hosp_dup.csv" --threads 1
+metrics_golden conflicting.lint lint examples/lint/conflicting.frl
+metrics_golden conflicting.certify certify examples/lint/conflicting.frl
+echo "-- repair, check, lint and certify metrics match the golden snapshots"
+
 echo "== attribution profile determinism smoke =="
 # Two identical --profile-json runs must be byte-identical: the profile
 # deliberately excludes measured nanoseconds (DESIGN.md §13).
